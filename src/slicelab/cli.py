@@ -44,12 +44,22 @@ class CliError(ValueError):
     pass
 
 
+def parse_rational(text: str) -> Fraction:
+    """A rational literal such as '3', '-3/2'; a zero denominator is a CliError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise CliError(f"zero denominator in {text!r}") from exc
+    except ValueError as exc:
+        raise CliError(f"cannot parse rational {text!r}") from exc
+
+
 def parse_monomial(text: str) -> LaurentPoly:
     """Laurent monomial: '0', '1', '-3/2', 't', '2t', 't^-1', '5*t^2', ..."""
     m = _MONOMIAL_RE.match(text)
     if not m or (m.group("coeff") is None and m.group("t") is None):
         raise CliError(f"cannot parse monomial {text!r}")
-    coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+    coeff = parse_rational(m.group("coeff")) if m.group("coeff") else Fraction(1)
     if not m.group("t"):
         return LaurentPoly.const(coeff)
     exp = int(m.group("exp")) if m.group("exp") else 1
@@ -96,7 +106,7 @@ def parse_element(text: str, algebra):
     if text.startswith("(") and text.endswith(")"):
         text = text[1:-1]
     if re.fullmatch(r"[\s,+-]*[\d/,\s+-]+", text) and "," in text:
-        coords = [Fraction(p.strip()) for p in text.split(",")]
+        coords = [parse_rational(p.strip()) for p in text.split(",")]
         if len(coords) != algebra.dim:
             raise CliError(f"expected {algebra.dim} coordinates, got {len(coords)}")
         return algebra.element(coords)
@@ -105,7 +115,7 @@ def parse_element(text: str, algebra):
         m = _TERM_RE.match(term)
         if not m or (m.group("coeff") is None and m.group("name") is None):
             raise CliError(f"cannot parse element term {term!r}")
-        coeff = Fraction(m.group("coeff")) if m.group("coeff") else Fraction(1)
+        coeff = parse_rational(m.group("coeff")) if m.group("coeff") else Fraction(1)
         coeff = -coeff if sign == "-" else coeff
         name = m.group("name")
         if name is None:
@@ -255,7 +265,8 @@ def cmd_limit(args) -> int:
         print(f"limit of {args.curve} in {config.algebra}:")
         for row in payload["basis"]:
             print("  basis row:", " ".join(row))
-        print("  plucker:", " ".join(payload["plucker"]))
+        nonzero = [f"{i}:{q}" for i, q in enumerate(payload["plucker"]) if q != "0"]
+        print(f"  plucker ({len(nonzero)} nonzero of {len(payload['plucker'])}):", " ".join(nonzero))
         print("  boundary:", "yes" if payload["boundary"] else "no")
     return 0
 
@@ -267,7 +278,7 @@ def cmd_fibre(args) -> int:
     spec = args.point.strip()
     m = re.fullmatch(r"s\(\s*([+-]?\d+(?:/\d+)?)\s*\)", spec)
     if m:
-        x = slc.point([Fraction(m.group(1))] + [Fraction(0)] * (slc.dim() - 1))
+        x = slc.point([parse_rational(m.group(1))] + [Fraction(0)] * (slc.dim() - 1))
     else:
         x = parse_element(spec, algebra)
     fibre = compactified_fibre_pgl2(x, slc)

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from math import lcm
 
 Rational = Fraction
 
@@ -325,10 +327,6 @@ class Mat:
                 raise ValueError("ragged matrix")
 
     @staticmethod
-    def from_rows(rows) -> "Mat":
-        return Mat(rows)
-
-    @staticmethod
     def identity(n: int) -> "Mat":
         return Mat([[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)])
 
@@ -517,13 +515,6 @@ class Mat:
         return det
 
 
-def kernel_basis(rows) -> list:
-    """Kernel of the matrix with the given rows; rows may be empty."""
-    if not rows:
-        raise ValueError("ambient dimension unknown for empty system")
-    return Mat(rows).kernel()
-
-
 def span_contains(rows, vector) -> bool:
     """Exact test that ``vector`` lies in the row span of ``rows``."""
     if not rows:
@@ -551,42 +542,126 @@ def charpoly(m: Mat):
     return tuple(coeffs)
 
 
+def _minor_states(rows, reduce=None):
+    """Laplace expansion row by row, keyed by the bitmask of the columns used.
+
+    After all rows, ``states[mask]`` is the maximal minor on the columns set
+    in ``mask``; masks whose minor vanishes are absent.  Inserting column
+    ``j`` after the columns already in ``mask`` moves it past each used column
+    above ``j``, hence the sign is the parity of those set bits.  Zero entries
+    are skipped, so sparse curve matrices stay cheap.  ``reduce`` maps each
+    accumulated value after every row past the first (truncation, for one).
+    """
+    states = {1 << j: entry for j, entry in enumerate(rows[0]) if entry}
+    for row in rows[1:]:
+        steps = [(1 << j, j + 1, entry) for j, entry in enumerate(row) if entry]
+        new_states = {}
+        for mask, val in states.items():
+            for bit, above, entry in steps:
+                if mask & bit:
+                    continue
+                term = val * entry
+                if (mask >> above).bit_count() & 1:
+                    term = -term
+                key = mask | bit
+                prev = new_states.get(key)
+                new_states[key] = term if prev is None else prev + term
+        if reduce is not None:
+            new_states = {m: reduce(v) for m, v in new_states.items()}
+        states = {m: v for m, v in new_states.items() if v}
+    return states
+
+
+@lru_cache(maxsize=None)
+def _lex_masks(ncols: int, k: int) -> tuple:
+    """Column bitmasks of the k-subsets of range(ncols), in lexicographic order."""
+    return tuple(sum(1 << c for c in cols) for cols in combinations(range(ncols), k))
+
+
 def maximal_minors(rows, ncols: int, zero):
     """All maximal minors of a k x ncols matrix, in lexicographic column order.
 
-    Works over any exact commutative scalar with +, * and truthiness; the DP
-    goes row by row and skips zero entries, so sparse curve matrices stay cheap.
+    Works over any exact commutative scalar with +, -, * and truthiness;
+    ``zero`` stands in for every minor that vanishes.
     """
-    k = len(rows)
-    # Seed with a marker instead of a typed 1; multiply lazily on first use.
-    one_marker = object()
-    states = {(): one_marker}
-    for r_index in range(k):
-        row = rows[r_index]
-        new_states = {}
-        for subset, val in states.items():
-            for j, entry in enumerate(row):
-                if not entry:
-                    continue
-                if j in subset:
-                    continue
-                pos = 0
-                while pos < len(subset) and subset[pos] < j:
-                    pos += 1
-                sign = 1 if (len(subset) - pos) % 2 == 0 else -1
-                term = entry if val is one_marker else val * entry
-                if sign < 0:
-                    term = -term
-                key = subset[:pos] + (j,) + subset[pos:]
-                if key in new_states:
-                    new_states[key] = new_states[key] + term
-                else:
-                    new_states[key] = term
-        states = new_states
-    out = []
-    for cols in combinations(range(ncols), k):
-        out.append(states.get(cols, zero))
-    return out
+    if not rows:
+        raise ValueError("maximal minors of a matrix without rows")
+    states = _minor_states(rows)
+    return [states.get(mask, zero) for mask in _lex_masks(ncols, len(rows))]
+
+
+def lowest_minor_coefficients(rows, ncols: int):
+    """Leading coefficients of the maximal minors of a LaurentPoly matrix.
+
+    Returns ``(mu, coeffs)``: ``mu`` is the lowest valuation among the
+    nonzero maximal minors, and ``coeffs`` holds the t^mu coefficient of
+    every minor, in the order of ``maximal_minors``.  The coefficients are
+    integers: row r is scaled by the lcm D_r of its coefficient
+    denominators, so each is the exact coefficient times prod(D_r), one
+    positive factor common to all minors that normalization divides out.
+
+    Row r is read from t^(v_r), v_r its valuation, and truncated to p terms,
+    so the expansion yields every minor divided by t^(sum v_r) modulo t^p.
+    A nonzero coefficient below t^p is exact; p starts at 1 and doubles
+    until one appears.  Past the sum of the row degrees (shifted to start at
+    0) every minor vanishes identically and ValueError is raised.
+
+    A truncated series is packed into one Python int, ``bits`` per term
+    (Kronecker substitution), so a series product is one int product.
+    ``bits`` exceeds the bound prod_r (sum of |coefficients| in row r) on
+    every coefficient of every partial minor by two bits, so the signed
+    terms never spill into each other.
+    """
+    if not rows:
+        raise ValueError("maximal minors of a matrix without rows")
+    series = []
+    valuation_sum = width = 0
+    bound = 1
+    for row in rows:
+        nonzero = [e for e in row if e]
+        if not nonzero:
+            raise ValueError("all maximal minors vanish: the matrix has a zero row")
+        low = min(e.low for e in nonzero)
+        scale = lcm(*(c.denominator for e in nonzero for c in e.coeffs))
+        ints = [
+            [0] * (e.low - low) + [c.numerator * (scale // c.denominator) for c in e.coeffs]
+            if e else []
+            for e in row
+        ]
+        series.append(ints)
+        valuation_sum += low
+        width += max(len(s) for s in ints) - 1
+        bound *= sum(abs(c) for s in ints for c in s)
+    bits = bound.bit_length() + 2
+    p = 1
+    while True:
+        packed = [[_pack(s[:p], bits) for s in ints] for ints in series]
+        states = _minor_states(packed, None if p == 1 else _signed_low(p * bits))
+        if states:
+            lowest = min((v & -v).bit_length() - 1 for v in states.values()) // bits
+            pos = lowest * bits
+            term = _signed_low(bits)
+            coeffs = [
+                term(states[m] >> pos) if m in states else 0
+                for m in _lex_masks(ncols, len(rows))
+            ]
+            return valuation_sum + lowest, coeffs
+        if p > width:
+            raise ValueError("all maximal minors vanish")
+        p = min(2 * p, width + 1)
+
+
+def _pack(coeffs, bits: int) -> int:
+    return sum(c << (bits * i) for i, c in enumerate(coeffs))
+
+
+def _signed_low(nbits: int):
+    """The map from a packed int to the signed value of its low ``nbits``:
+    the series modulo t^p when ``nbits`` spans p terms, one term when it
+    spans one.  Exact since the term width leaves every term two spare bits."""
+    half = 1 << (nbits - 1)
+    mask = (1 << nbits) - 1
+    return lambda v: ((v + half) & mask) - half
 
 
 def laurent_rank(rows, ncols: int) -> int:
@@ -625,13 +700,6 @@ def dual_mat_inverse(value: Mat, derivative: Mat):
     """Inverse of (A + eps*B) as the pair (A^-1, -A^-1 B A^-1)."""
     a_inv = value.inverse()
     return a_inv, -(a_inv @ derivative @ a_inv)
-
-
-def split_dual_matrix(m: Mat):
-    """Split a matrix with Dual entries into (value part, derivative part)."""
-    val = m.map(lambda d: Dual.lift(d).value)
-    der = m.map(lambda d: Dual.lift(d).derivative)
-    return val, der
 
 
 def join_dual_matrix(value: Mat, derivative: Mat) -> Mat:

@@ -49,6 +49,7 @@ from .slices import (
     universal_centralizer_contains,
 )
 from .slodowy import (
+    SliceError,
     chi_section,
     conjugate_to_slice,
     principal_slice,
@@ -312,7 +313,7 @@ def check_principality_detection(config: Config, algebras) -> CheckResult:
     slc = _slice_for(algebras, 3, (2, 1))
     try:
         chi_section(slc, algebras[3].basis_element(0))
-    except Exception:
+    except SliceError:
         return CheckResult("principality-detection", "pass")
     return CheckResult(
         "principality-detection", "fail", {"reason": "subregular slice accepted"}

@@ -15,9 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import LaurentPoly, Mat, maximal_minors, laurent_rank, sample_rational
+from .exactnum import (
+    LaurentPoly,
+    Mat,
+    laurent_rank,
+    lowest_minor_coefficients,
+    maximal_minors,
+    sample_rational,
+)
 from .liecore import Ad, GroupElement, LieAlgebra, chi
 from .slodowy import InternalCheckError, SlodowySlice, chi_section
+
+
+_ZERO = Fraction(0)
 
 
 class MembershipError(ValueError):
@@ -47,7 +57,7 @@ class Subspace:
         lead = next(m for m in minors if m)
         self.algebra = algebra
         self.basis = basis
-        self.plucker = tuple(m / lead for m in minors)
+        self.plucker = tuple(m / lead if m else _ZERO for m in minors)
         self.certified = certified
         self.source = source
 
@@ -265,11 +275,9 @@ def limit(curve: CurveSubspace) -> Subspace:
         raise DegenerateCurveError("curve has generic rank below the ambient requirement")
 
     # Plucker-evaluation method, on the untouched basis.
-    minors = maximal_minors(curve.rows, 2 * n, LaurentPoly.zero())
-    mu = min(m.valuation() for m in minors if m)
-    normalized = [m.coeff(mu) for m in minors]
-    lead = next(c for c in normalized if c)
-    plucker_limit = tuple(c / lead for c in normalized)
+    mu, coeffs = lowest_minor_coefficients(curve.rows, 2 * n)
+    lead = next(c for c in coeffs if c)
+    plucker_limit = tuple(Fraction(c, lead) if c else _ZERO for c in coeffs)
 
     # Row-reduction method over the local ring at t = 0.
     work = [list(r) for r in curve.rows]
@@ -313,14 +321,6 @@ def _normalize_rows(rows):
         shed += v
         out.append([e.shift(-v) for e in r])
     return out, shed
-
-
-def contains(gamma: Subspace, pair) -> bool:
-    return gamma.contains(pair)
-
-
-def is_boundary(gamma: Subspace) -> bool:
-    return gamma.is_boundary()
 
 
 def chi_compatible(gamma: Subspace, samples: int, seed: int = 0):

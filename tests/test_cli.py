@@ -163,6 +163,46 @@ class TestLimitCommand:
         assert res.returncode == 0, res.stderr
         assert json.loads(res.stdout)["boundary"] is True
 
+    def test_text_output_lists_nonzero_plucker_coordinates(self):
+        args = ["limit", "--algebra", "a2", "--curve", "diag(t,1,1)"]
+        full = json.loads(run_cli(args + ["--json"]).stdout)["plucker"]
+        assert len(full) == 12870
+        nonzero = [f"{i}:{q}" for i, q in enumerate(full) if q != "0"]
+        res = run_cli(args)
+        assert res.returncode == 0, res.stderr
+        lines = [ln for ln in res.stdout.splitlines() if "plucker" in ln]
+        assert lines == [f"  plucker ({len(nonzero)} nonzero of 12870): " + " ".join(nonzero)]
+
+
+class TestMalformedRationals:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["slice-project", "--element=1/0,0,0"],
+            ["slice-project", "--element=e+1/0*h"],
+            ["fibre", "--point", "s(1/0)"],
+            ["limit", "--curve", "diag(1/0*t,1)"],
+        ],
+    )
+    def test_one_error_line(self, args):
+        res = run_cli(args)
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == ["error: zero denominator in '1/0'"]
+
+    def test_parsers_raise_cli_error(self):
+        sl2 = lie_algebra(2)
+        with pytest.raises(CliError):
+            parse_monomial("1/0*t")
+        with pytest.raises(CliError):
+            parse_element("1/0,0,0", sl2)
+        with pytest.raises(CliError):
+            parse_element("e+1/0*h", sl2)
+        with pytest.raises(CliError):
+            parse_element("1,,0", sl2)
+        with pytest.raises(CliError):
+            parse_element("1//2,0,1", sl2)
+
 
 class TestFibreCommand:
     def test_fibre_at_s1(self):

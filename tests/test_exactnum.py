@@ -1,5 +1,7 @@
+import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm, prod
 
 import pytest
 
@@ -8,6 +10,7 @@ from slicelab.exactnum import (
     LaurentPoly,
     Mat,
     laurent_rank,
+    lowest_minor_coefficients,
     maximal_minors,
     sample_rational,
     span_contains,
@@ -221,3 +224,102 @@ class TestLinearAlgebraHelpers:
         assert laurent_rank(rows, 2) == 1
         rows = [[t, one], [one, t]]
         assert laurent_rank(rows, 2) == 2
+
+
+def random_laurent_rows(seed, k, ncols, density):
+    """Seeded k x ncols matrix of sparse Laurent polynomials: an entry is
+    nonzero with the given probability and then has one to three terms with
+    small rational coefficients and exponents in [-2, 3]."""
+    rng = random.Random(seed)
+    rows = []
+    for _ in range(k):
+        row = []
+        for _ in range(ncols):
+            entry = LaurentPoly.zero()
+            if rng.random() < density:
+                for _ in range(rng.randint(1, 3)):
+                    c = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                    entry = entry + LaurentPoly.t_power(rng.randint(-2, 3), c)
+            row.append(entry)
+        rows.append(row)
+    return rows
+
+
+def lowest_coefficients_oracle(rows, ncols):
+    """(mu, t^mu coefficients) read off the full Laurent minors."""
+    minors = maximal_minors(rows, ncols, LaurentPoly.zero())
+    mu = min(m.valuation() for m in minors if m)
+    return mu, [m.coeff(mu) for m in minors]
+
+
+def row_scale(rows):
+    """The factor prod_r lcm(denominators of row r) that the kernel's integer
+    coefficients carry."""
+    return prod(lcm(*(c.denominator for e in r for c in e.coeffs)) for r in rows)
+
+
+def row_valuation_sum(rows):
+    return sum(min(e.valuation() for e in r if e) for r in rows)
+
+
+class TestLowestMinorCoefficients:
+    def assert_matches_oracle(self, rows, ncols):
+        mu, coeffs = lowest_minor_coefficients(rows, ncols)
+        ref_mu, ref = lowest_coefficients_oracle(rows, ncols)
+        assert mu == ref_mu
+        scale = row_scale(rows)
+        assert coeffs == [c * scale for c in ref]
+        assert all(isinstance(c, int) for c in coeffs)
+        return mu
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_3x6(self, seed):
+        rows = random_laurent_rows(900 + seed, 3, 6, 0.7)
+        self.assert_matches_oracle(rows, 6)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_random_8x16(self, seed):
+        rows = random_laurent_rows(950 + seed, 8, 16, 0.25)
+        self.assert_matches_oracle(rows, 16)
+
+    @pytest.mark.parametrize("gap", [1, 2, 5, 9])
+    def test_valuation_above_row_valuations(self, gap):
+        # Rows a1, a1 + t^gap a2, a3 with constant a_i: every minor is t^gap
+        # times a minor of (a1, a2, a3), so mu exceeds the row valuations by
+        # exactly gap and the precision must grow past it.
+        a1, a2, a3 = ([LaurentPoly.const(sample_rational(97, 6 * i + j)) for j in range(6)]
+                      for i in range(3))
+        rows = [a1, [x + y.shift(gap) for x, y in zip(a1, a2)], [x.shift(-1) for x in a3]]
+        mu = self.assert_matches_oracle(rows, 6)
+        assert mu - row_valuation_sum(rows) == gap
+
+    def test_reparametrized_gap(self):
+        # Replace row 1 by row 0 plus row 1 moved three past row 0's valuation:
+        # the minors gain that shift, the row valuations do not, so the gap
+        # is at least 3, and t -> t^k multiplies it by k.
+        rows = random_laurent_rows(990, 3, 6, 0.8)
+        v0, v1 = (min(e.valuation() for e in r if e) for r in rows[:2])
+        rows[1] = [x + y.shift(v0 - v1 + 3) for x, y in zip(rows[0], rows[1])]
+        gap = self.assert_matches_oracle(rows, 6) - row_valuation_sum(rows)
+        assert gap >= 3
+        for k in (2, 3):
+            stretched = [[e.substitute_power(k) for e in r] for r in rows]
+            mu = self.assert_matches_oracle(stretched, 6)
+            assert mu - row_valuation_sum(stretched) == k * gap
+
+    def test_sign_of_column_insertion(self):
+        rows = [[LaurentPoly.const(0), LaurentPoly.const(1)],
+                [LaurentPoly.const(1), LaurentPoly.const(0)]]
+        assert lowest_minor_coefficients(rows, 2) == (0, [-1])
+
+    def test_all_minors_vanish(self):
+        t = LaurentPoly.t_power(1)
+        one = LaurentPoly.const(1)
+        with pytest.raises(ValueError):
+            lowest_minor_coefficients([[t, t * t], [one, t]], 2)
+        rows = random_laurent_rows(77, 2, 5, 0.9)
+        rows.append([t * x + y for x, y in zip(rows[0], rows[1])])
+        with pytest.raises(ValueError):
+            lowest_minor_coefficients(rows, 5)
+        with pytest.raises(ValueError):
+            lowest_minor_coefficients([[t, one], [LaurentPoly.zero()] * 2], 2)

@@ -2,7 +2,14 @@ from fractions import Fraction
 
 import pytest
 
-from slicelab.exactnum import LaurentPoly, Mat, sample_rational
+import slicelab.wonderful as wonderful
+from slicelab.exactnum import (
+    LaurentPoly,
+    Mat,
+    lowest_minor_coefficients,
+    maximal_minors,
+    sample_rational,
+)
 from slicelab.liecore import (
     Ad,
     GroupElement,
@@ -10,7 +17,7 @@ from slicelab.liecore import (
     sample_element,
     sample_group_element,
 )
-from slicelab.slodowy import principal_slice
+from slicelab.slodowy import InternalCheckError, principal_slice
 from slicelab.wonderful import (
     CertificateError,
     CurveSubspace,
@@ -176,6 +183,50 @@ class TestLimit:
         assert gamma.is_boundary() is True
         ok, witness = chi_compatible(gamma, 10, seed=13)
         assert ok, witness
+
+
+class TestLeadingMinorRoute:
+    """The Plucker route of ``limit`` on curves whose minors vanish to higher
+    order than the sum of their row valuations."""
+
+    def test_reparametrized_curves_match_full_minors(self):
+        sl3 = lie_algebra(3)
+        base = CurveSubspace.from_group_curve(
+            sl3, t_mat([[(1, 1), 1, 0], [0, 1, (1, -1)], [0, 0, 1]])
+        )
+        for k in (1, 2, 3):
+            curve = base.substitute_power(k)
+            mu, coeffs = lowest_minor_coefficients(curve.rows, 16)
+            minors = maximal_minors(curve.rows, 16, LaurentPoly.zero())
+            assert mu == min(m.valuation() for m in minors if m)
+            assert mu - sum(min(e.valuation() for e in r if e) for r in curve.rows) == 3 * k
+            ref = [m.coeff(mu) for m in minors]
+            ref_lead = next(c for c in ref if c)
+            expected = tuple(c / ref_lead for c in ref)
+            lead = next(c for c in coeffs if c)
+            assert tuple(Fraction(c, lead) for c in coeffs) == expected
+            assert limit(curve).plucker == expected
+
+    @pytest.mark.parametrize(
+        "algebra_n, gmat",
+        [
+            (2, [[(1, 1), 0], [0, 1]]),
+            (3, [[(1, 1), 1, 2], [0, (1, 2), (1, -1)], [1, 0, 1]]),
+        ],
+    )
+    def test_planted_minor_fault_is_an_internal_error(self, monkeypatch, algebra_n, gmat):
+        curve = CurveSubspace.from_group_curve(lie_algebra(algebra_n), t_mat(gmat))
+        real = wonderful.lowest_minor_coefficients
+
+        def one_wrong_coefficient(rows, ncols):
+            mu, coeffs = real(rows, ncols)
+            last = max(i for i, c in enumerate(coeffs) if c)
+            coeffs[last] += 1
+            return mu, coeffs
+
+        monkeypatch.setattr(wonderful, "lowest_minor_coefficients", one_wrong_coefficient)
+        with pytest.raises(InternalCheckError):
+            limit(curve)
 
 
 class TestContains:
