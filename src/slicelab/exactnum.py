@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm, prod
+from operator import mul
 
 Rational = Fraction
 
@@ -367,6 +368,8 @@ class Mat:
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
+        if self.rows and other.rows and _all_fractions(self.rows) and _all_fractions(other.rows):
+            return _fraction_matmul(self.rows, other.rows)
         cols = other.ncols
         out = []
         for r in self.rows:
@@ -415,38 +418,49 @@ class Mat:
     def __repr__(self):
         return "Mat([" + ", ".join("[" + ", ".join(map(str, r)) + "]" for r in self.rows) + "])"
 
-    # Field-scalar routines (Fraction entries).
+    # Field-scalar routines (Fraction entries), run on integer rows.
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot columns, rank).
 
         Pivot choice is the first nonzero entry in column order, which makes
-        the output canonical and the whole pipeline reproducible.
+        the output canonical and the whole pipeline reproducible.  Each row
+        is scaled to integers, and Gauss-Jordan runs fraction-free on them:
+        row_i <- pv*row_i - f*row_r, divided by the gcd of its entries.
+        Scaling a row never changes which entries vanish, so the pivots are
+        those of the Fraction elimination, and since the reduced form is
+        unique, so is the result.  Fractions are built only at the end.
         """
-        m = [list(r) for r in self.rows]
+        m, _ = _integer_rows(self.rows)
         nr, nc = len(m), self.ncols
         pivots = []
         r = 0
         for c in range(nc):
             pr = None
             for i in range(r, nr):
-                if m[i][c] != 0:
+                if m[i][c]:
                     pr = i
                     break
             if pr is None:
                 continue
             m[r], m[pr] = m[pr], m[r]
-            pv = m[r][c]
-            m[r] = [a / pv for a in m[r]]
+            prow = m[r]
+            pv = prow[c]
             for i in range(nr):
-                if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+                f = m[i][c]
+                if i != r and f:
+                    new = [pv * a - f * b for a, b in zip(m[i], prow)]
+                    g = gcd(*new)
+                    if g > 1:
+                        new = [a // g for a in new]
+                    m[i] = new
             pivots.append(c)
             r += 1
             if r == nr:
                 break
-        return Mat(m), tuple(pivots), r
+        out = [[_ratio(a, m[i][c]) for a in m[i]] for i, c in enumerate(pivots)]
+        out += [[_ZERO] * nc for _ in range(r, nr)]
+        return Mat(out), tuple(pivots), r
 
     def rank(self) -> int:
         return self.rref()[2]
@@ -489,30 +503,68 @@ class Mat:
         return Mat([r[n:] for r in R.rows])
 
     def det(self):
-        """Determinant by exact Gaussian elimination (Fraction entries)."""
+        """Determinant by Bareiss fraction-free elimination on the integer-scaled rows."""
         n = self.nrows
         if n != self.ncols:
             raise ValueError("determinant of non-square matrix")
-        m = [list(r) for r in self.rows]
-        det = Fraction(1)
+        m, scales = _integer_rows(self.rows)
+        sign = 1
+        prev = 1
         for c in range(n):
             pr = None
             for i in range(c, n):
-                if m[i][c] != 0:
+                if m[i][c]:
                     pr = i
                     break
             if pr is None:
                 return Fraction(0)
             if pr != c:
                 m[c], m[pr] = m[pr], m[c]
-                det = -det
-            det *= m[c][c]
-            inv = 1 / m[c][c]
+                sign = -sign
+            prow = m[c]
+            pv = prow[c]
             for i in range(c + 1, n):
-                if m[i][c] != 0:
-                    f = m[i][c] * inv
-                    m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-        return det
+                row = m[i]
+                f = row[c]
+                m[i] = [(pv * a - f * b) // prev for a, b in zip(row, prow)]
+            prev = pv
+        return Fraction(sign * prev, prod(scales))
+
+
+_ZERO = Fraction(0)
+
+
+def _ratio(num: int, den: int) -> Fraction:
+    return Fraction(num, den) if num else _ZERO
+
+
+def _all_fractions(rows) -> bool:
+    return all(type(a) is Fraction for r in rows for a in r)
+
+
+def _integer_rows(rows):
+    """Each row times the lcm of its entries' denominators: (integer rows, the lcms)."""
+    out, scales = [], []
+    for r in rows:
+        scale = lcm(*(a.denominator for a in r))
+        out.append([a.numerator * (scale // a.denominator) for a in r])
+        scales.append(scale)
+    return out, scales
+
+
+def _fraction_matmul(a_rows, b_rows) -> Mat:
+    """Product of two Fraction matrices through one integer product.
+
+    Row i of A is scaled by the lcm of its denominators and column j of B
+    by the lcm of its own, so entry (i, j) is one integer dot product over
+    the product of the two scales.
+    """
+    a_int, a_scales = _integer_rows(a_rows)
+    b_int, b_scales = _integer_rows(list(zip(*b_rows)))
+    return Mat([
+        [_ratio(sum(map(mul, ar, bc)), da * db) for bc, db in zip(b_int, b_scales)]
+        for ar, da in zip(a_int, a_scales)
+    ])
 
 
 def span_contains(rows, vector) -> bool:

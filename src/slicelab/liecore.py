@@ -20,15 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .exactnum import (
-    Dual,
-    Mat,
-    RationalStream,
-    charpoly,
-    dual_mat_inverse,
-    join_dual_matrix,
-    sample_rational,
-)
+from .exactnum import Mat, RationalStream, charpoly, sample_rational
 
 
 class LieAlgebraError(ValueError):
@@ -150,11 +142,16 @@ class LieAlgebra:
         return tuple(Fraction(1) if k == j else Fraction(0) for k in range(self.dim))
 
     def _build_killing_gram(self) -> Mat:
+        # tr(ad_i ad_j) = sum over k, l of ad_i[k][l] * ad_j[l][k]: pair the
+        # row-major entries of ad_i with the column-major entries of ad_j.
         ads = [self.ad_matrix(Element(self, self._unit(i))) for i in range(self.dim)]
-        rows = []
-        for i in range(self.dim):
-            rows.append([(ads[i] @ ads[j]).trace() for j in range(self.dim)])
-        g = Mat(rows)
+        by_rows = [[a for r in ad.rows for a in r] for ad in ads]
+        by_cols = [[a for c in zip(*ad.rows) for a in c] for ad in ads]
+        zero = Fraction(0)
+        g = Mat([
+            [sum((a * b for a, b in zip(ri, cj) if a and b), zero) for cj in by_cols]
+            for ri in by_rows
+        ])
         if g.transpose() != g:
             raise LieAlgebraError("Killing Gram matrix is not symmetric")
         return g
@@ -287,7 +284,7 @@ def kappa(algebra: LieAlgebra, covector) -> Element:
 class GroupElement:
     """PGL_n element: an invertible matrix up to scale, stored normalized."""
 
-    __slots__ = ("algebra", "matrix")
+    __slots__ = ("algebra", "matrix", "_inverse_matrix")
 
     def __init__(self, algebra: LieAlgebra, matrix: Mat):
         if matrix.nrows != algebra.n or matrix.ncols != algebra.n:
@@ -296,6 +293,13 @@ class GroupElement:
             raise LieAlgebraError("singular matrix is not a group element")
         self.algebra = algebra
         self.matrix = _normalize_projective(matrix)
+        self._inverse_matrix = None
+
+    def inverse_matrix(self) -> Mat:
+        """Exact inverse of the stored representative, computed on first use."""
+        if self._inverse_matrix is None:
+            self._inverse_matrix = self.matrix.inverse()
+        return self._inverse_matrix
 
     @staticmethod
     def identity(algebra: LieAlgebra) -> "GroupElement":
@@ -307,7 +311,7 @@ class GroupElement:
         return GroupElement(self.algebra, self.matrix @ other.matrix)
 
     def inverse(self) -> "GroupElement":
-        return GroupElement(self.algebra, self.matrix.inverse())
+        return GroupElement(self.algebra, self.inverse_matrix())
 
     def __eq__(self, other):
         return (
@@ -333,18 +337,8 @@ def _normalize_projective(m: Mat) -> Mat:
 
 def Ad(g: GroupElement, x: Element) -> Element:
     """Adjoint action g x g^-1 in coordinates; exact for any scalar coordinates."""
-    gm = g.matrix
-    conj = gm @ x.matrix() @ gm.inverse()
+    conj = g.matrix @ x.matrix() @ g.inverse_matrix()
     return x.algebra.element_from_matrix(conj)
-
-
-def ad_action_dual(g_value: Mat, g_derivative: Mat, x: Element) -> Element:
-    """Adjoint action of a dual-number group curve g = A + eps*B on x."""
-    g = join_dual_matrix(g_value, g_derivative)
-    inv_value, inv_derivative = dual_mat_inverse(g_value, g_derivative)
-    ginv = join_dual_matrix(inv_value, inv_derivative)
-    xm = x.matrix().map(Dual.lift)
-    return x.algebra.element_from_matrix(g @ xm @ ginv)
 
 
 def exp_nilpotent(x: Element) -> GroupElement:

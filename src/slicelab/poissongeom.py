@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Dual, Mat, dual_mat_inverse, join_dual_matrix
+from .exactnum import Dual, Mat, dual_mat_inverse, join_dual_matrix, span_contains
 from .liecore import (
     Ad,
     Element,
@@ -352,7 +352,7 @@ def transversal_check(ambient: PointedBivector, tangent_basis) -> TransversalDec
     induced = []
     for w in embedded:
         image = ambient.apply(w)
-        if tangent and not _in_span(tangent, image):
+        if tangent and not span_contains(tangent, image):
             raise AssertionError("P(T*Y) escaped TY on a successful decomposition")
         induced.append([_pair(w2, image) for w2 in embedded])
     return TransversalDecomposition(True, tangent, complement, Mat(induced).transpose(), None)
@@ -360,12 +360,6 @@ def transversal_check(ambient: PointedBivector, tangent_basis) -> TransversalDec
 
 def _pair(covector, vector):
     return sum((a * v for a, v in zip(covector, vector)), Fraction(0))
-
-
-def _in_span(rows, vector):
-    from .exactnum import span_contains
-
-    return span_contains(rows, vector)
 
 
 def slice_codimension(slc: SlodowySlice, space: str = "lie-poisson") -> int:

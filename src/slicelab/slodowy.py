@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .exactnum import Mat, span_contains
 from .liecore import (
@@ -134,9 +135,6 @@ class Grading:
             out = out + graded[start + k] * b
         return out
 
-    def depth(self) -> int:
-        return -min(self.eigenvalues)
-
 
 def grading(triple: Sl2Triple) -> Grading:
     """ad_h eigenspace decomposition; integer eigenvalues are found by exact kernel scans."""
@@ -168,7 +166,11 @@ def grading(triple: Sl2Triple) -> Grading:
 
 @dataclass(frozen=True)
 class SlodowySlice:
-    """S_tau = xi + g_eta together with the parabolic data of the triple."""
+    """S_tau = xi + g_eta together with the parabolic data of the triple.
+
+    Data that depends on the slice alone (the graded pieces of g_eta and
+    principality) is computed on first use and kept on the slice.
+    """
 
     triple: Sl2Triple
     grading: Grading
@@ -176,6 +178,7 @@ class SlodowySlice:
     parabolic: tuple  # basis of p_tau
     nilradical: tuple  # basis of u_tau
     stabilizer_nilradical: tuple  # basis of (u_tau)_xi
+    _eta_sections: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def algebra(self) -> LieAlgebra:
@@ -206,16 +209,11 @@ class SlodowySlice:
             out = out + c * d
         return out
 
-    def coefficients_of(self, y: Element):
-        """Slice coordinates of a point of S_tau."""
-        diff = y - self.base
-        rows = [d.coords for d in self.directions]
-        sol = Mat(list(zip(*rows))).solve(diff.coords)
-        if sol is None:
-            raise SliceError("point is not on the slice")
-        return sol
-
     def is_principal(self) -> bool:
+        return self._principal
+
+    @cached_property
+    def _principal(self) -> bool:
         t = self.triple
         if t.is_zero():
             return False
@@ -294,7 +292,7 @@ def conjugate_to_slice(slc: SlodowySlice, y: Element) -> SliceConjugation:
         defect = grad.component(s - xi, nu)
         if defect.is_zero():
             continue
-        eta_part = eta_sections.get(nu, [])
+        eta_part = eta_sections.get(nu, ())
         z_basis = grad.eigenspaces.get(nu - 2, [])
         if not z_basis and not eta_part:
             raise InternalCheckError(f"defect in empty degree {nu}")
@@ -328,11 +326,18 @@ def conjugate_to_slice(slc: SlodowySlice, y: Element) -> SliceConjugation:
     return SliceConjugation(u, s)
 
 
-def _eta_section(slc: SlodowySlice, lam: int):
-    """Basis of g_eta intersected with the degree-lam eigenspace."""
+def _eta_section(slc: SlodowySlice, lam: int) -> tuple:
+    """Basis of g_eta intersected with the degree-lam eigenspace, once per slice."""
+    cache = slc._eta_sections
+    if lam not in cache:
+        cache[lam] = _compute_eta_section(slc, lam)
+    return cache[lam]
+
+
+def _compute_eta_section(slc: SlodowySlice, lam: int) -> tuple:
     basis = slc.grading.eigenspaces.get(lam, [])
     if not basis:
-        return []
+        return ()
     ad_eta = slc.algebra.ad_matrix(slc.triple.eta)
     images = [ad_eta.apply(b.coords) for b in basis]
     kernel = Mat(list(zip(*images))).kernel()
@@ -342,7 +347,7 @@ def _eta_section(slc: SlodowySlice, lam: int):
         for c, b in zip(v, basis):
             el = el + c * b
         out.append(el)
-    return out
+    return tuple(out)
 
 
 def chi_section(slc: SlodowySlice, x: Element) -> Element:

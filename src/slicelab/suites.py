@@ -59,6 +59,7 @@ from .slodowy import (
 from .wonderful import (
     CurveSubspace,
     LogCotangentPoint,
+    chi_compatible,
     diagonal_subspace,
     graph_subspace,
     limit,
@@ -537,16 +538,10 @@ def check_limit_chi_compatibility(config: Config, algebras) -> CheckResult:
     alg = algebras[2]
     for i, curve in enumerate(_sample_curves(alg, config.seed + 97, 20)):
         gamma = limit(curve)
-        ok, witness = _chi_compatible(gamma, count, config.seed + 97 + i)
+        ok, witness = chi_compatible(gamma, count, config.seed + 97 + i)
         if not ok:
             return CheckResult("limit-chi-compatibility", "fail", {"curve": i, **witness})
     return CheckResult("limit-chi-compatibility", "pass")
-
-
-def _chi_compatible(gamma, samples, seed):
-    from .wonderful import chi_compatible
-
-    return chi_compatible(gamma, samples, seed)
 
 
 def check_pgl2_model_vs_limit(config: Config, algebras) -> CheckResult:
@@ -591,7 +586,7 @@ def check_boundary_criterion(config: Config, algebras) -> CheckResult:
         gamma = limit(CurveSubspace.from_group_curve(alg, Mat(rows)))
         if not gamma.is_boundary():
             return CheckResult("boundary-criterion", "fail", {"i": i, "reason": "not boundary"})
-        ok, witness = _chi_compatible(gamma, count, config.seed + 107 + i)
+        ok, witness = chi_compatible(gamma, count, config.seed + 107 + i)
         if not ok:
             return CheckResult("boundary-criterion", "fail", {"i": i, **witness})
         first, second = gamma.projection_ranks()

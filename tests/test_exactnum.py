@@ -323,3 +323,185 @@ class TestLowestMinorCoefficients:
             lowest_minor_coefficients(rows, 5)
         with pytest.raises(ValueError):
             lowest_minor_coefficients([[t, one], [LaurentPoly.zero()] * 2], 2)
+
+
+# --- Fraction oracles for the integer kernels under Mat ---------------------
+
+
+def gauss_jordan_oracle(rows, ncols):
+    """Plain Fraction Gauss-Jordan with first-nonzero pivots: (rows, pivots, rank)."""
+    m = [list(r) for r in rows]
+    nr = len(m)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nr) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        pv = m[r][c]
+        m[r] = [a / pv for a in m[r]]
+        for i in range(nr):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == nr:
+            break
+    return m, tuple(pivots), r
+
+
+def kernel_oracle(rows, ncols):
+    reduced, pivots, _ = gauss_jordan_oracle(rows, ncols)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced[r][fc]
+        basis.append(tuple(v))
+    return basis
+
+
+def laplace_det(rows):
+    """Laplace expansion along the rows, one partial sum per set of columns used.
+
+    Each row is first scaled to integers by the lcm of its denominators; the
+    determinant is linear in each row, so the scales divide out at the end.
+    """
+    scales = [lcm(*(a.denominator for a in r)) for r in rows]
+    partial = {0: 1}
+    for r, scale in zip(rows, scales):
+        ints = [int(a * scale) for a in r]
+        nxt = {}
+        for used, value in partial.items():
+            sign = 1
+            for c in reversed(range(len(ints))):
+                if used >> c & 1:
+                    sign = -sign
+                elif ints[c]:
+                    key = used | 1 << c
+                    nxt[key] = nxt.get(key, 0) + sign * ints[c] * value
+        partial = nxt
+    return Fraction(sum(partial.values()), prod(scales))
+
+
+def triple_loop_product(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+SHAPES = [(1, 1), (3, 3), (8, 8), (8, 16), (16, 8), (16, 16)]
+KINDS = ["random", "zero-rows", "all-zero", "duplicate-rows", "singular", "60-bit"]
+
+
+def kernel_case(kind, nr, nc, seed):
+    """Seeded rational matrix of one of the KINDS, as a list of rows."""
+    rng = random.Random(f"{kind}-{nr}x{nc}-{seed}")
+    high = (1 << 60) if kind == "60-bit" else 9
+
+    def entry():
+        return Fraction(rng.randint(-high, high), rng.randint(1, 6))
+
+    rows = [[entry() for _ in range(nc)] for _ in range(nr)]
+    if kind == "all-zero":
+        rows = [[Fraction(0)] * nc for _ in range(nr)]
+    elif kind == "zero-rows":
+        for i in range(0, nr, 3):
+            rows[i] = [Fraction(0)] * nc
+    elif kind == "duplicate-rows" and nr > 1:
+        rows[nr - 1] = list(rows[0])
+        rows[nr // 2] = list(rows[0])
+    elif kind == "singular" and nr > 1:
+        # last row a rational combination of the first two
+        a, b = entry(), entry()
+        rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1])]
+    elif kind == "singular":
+        rows = [[Fraction(0)]]
+    return rows
+
+
+CASES = [(kind, nr, nc) for kind in KINDS for nr, nc in SHAPES]
+
+
+@pytest.mark.parametrize("kind,nr,nc", CASES)
+class TestIntegerKernelsAgainstFractionOracles:
+    def test_rref_rank_and_kernel(self, kind, nr, nc):
+        rows = kernel_case(kind, nr, nc, 0)
+        m = Mat(rows)
+        reduced, pivots, rank = gauss_jordan_oracle(rows, nc)
+        assert m.rref() == (Mat(reduced), pivots, rank)
+        assert m.rank() == rank
+        assert m.kernel() == kernel_oracle(rows, nc)
+
+    def test_solve(self, kind, nr, nc):
+        rows = kernel_case(kind, nr, nc, 1)
+        m = Mat(rows)
+        x = [sample_rational(nr * nc, j) for j in range(nc)]
+        consistent = [row[0] for row in triple_loop_product(rows, [[v] for v in x])]
+        free_rhs = [sample_rational(nr + nc, i) + 1 for i in range(nr)]
+        for rhs in (consistent, free_rhs):
+            aug = [list(r) + [b] for r, b in zip(rows, rhs)]
+            reduced, pivots, _ = gauss_jordan_oracle(aug, nc + 1)
+            got = m.solve(rhs)
+            if nc in pivots:
+                assert got is None
+                continue
+            expected = [Fraction(0)] * nc
+            for r, pc in enumerate(pivots):
+                expected[pc] = reduced[r][nc]
+            assert got == tuple(expected)
+            assert list(m.apply(got)) == rhs
+        assert m.solve(consistent) is not None
+
+    def test_product(self, kind, nr, nc):
+        a = kernel_case(kind, nr, nc, 3)
+        b = kernel_case("random", nc, nr, 4)
+        assert Mat(a) @ Mat(b) == Mat(triple_loop_product(a, b))
+        assert Mat(b) @ Mat(a) == Mat(triple_loop_product(b, a))
+
+
+@pytest.mark.parametrize("kind,n", [(kind, nr) for kind, nr, nc in CASES if nr == nc])
+def test_inverse_and_det_against_fraction_oracles(kind, n):
+    rows = kernel_case(kind, n, n, 2)
+    m = Mat(rows)
+    det = laplace_det(rows)
+    assert m.det() == det
+    if det == 0:
+        with pytest.raises(ValueError):
+            m.inverse()
+        return
+    aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
+    reduced, _, _ = gauss_jordan_oracle(aug, 2 * n)
+    assert m.inverse() == Mat([r[n:] for r in reduced])
+
+
+class TestIntegerKernelEdges:
+    def test_det_row_swaps_change_the_sign(self):
+        # one swap, then two: -1 and +1 times the product of the diagonal
+        swap = frac_mat([[0, 2, 0], [3, 0, 0], [0, 0, 5]])
+        assert swap.det() == -30 == laplace_det(swap.rows)
+        cycle = frac_mat([[0, 2, 0], [0, 0, 3], [5, 0, 0]])
+        assert cycle.det() == 30 == laplace_det(cycle.rows)
+
+    def test_empty_matrices(self):
+        assert Mat([]).det() == 1
+        assert Mat([[Fraction(1)], [Fraction(2)]]) @ Mat([[Fraction(3), Fraction(4)]]) == frac_mat(
+            [[3, 4], [6, 8]]
+        )
+
+    def test_integer_entries_give_fractions(self):
+        r, pivots, rank = Mat([[2, 4], [1, 3]]).rref()
+        assert r == Mat.identity(2) and pivots == (0, 1) and rank == 2
+        assert all(type(a) is Fraction for row in r.rows for a in row)
+
+    def test_dual_entries_keep_the_generic_product(self):
+        a = [[Dual(Fraction(i + j), Fraction(i - j)) for j in range(3)] for i in range(2)]
+        b = [[Dual(Fraction(i * j + 1), Fraction(1, i + 2)) for j in range(2)] for i in range(3)]
+        expected = [[sum((a[i][k] * b[k][j] for k in range(3)), Dual(Fraction(0)))
+                     for j in range(2)] for i in range(2)]
+        assert Mat(a) @ Mat(b) == Mat(expected)
+        mixed = Mat([[Fraction(1), Fraction(2)]]) @ Mat([[Dual(Fraction(1), Fraction(1))],
+                                                         [Dual(Fraction(3))]])
+        assert mixed == Mat([[Dual(Fraction(7), Fraction(1))]])

@@ -207,6 +207,35 @@ class TestAd:
         assert log_unipotent(g) == z
 
 
+class TestGroupElementInverseCache:
+    def test_repeated_ad_inverts_once(self, monkeypatch):
+        sl3 = lie_algebra(3)
+        g = sample_group_element(sl3, 43, 0)
+        calls = []
+        original = Mat.inverse
+
+        def counting(self):
+            calls.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Mat, "inverse", counting)
+        for i in range(6):
+            x = sample_element(sl3, 43, i)
+            assert Ad(g, x) == sl3.element_from_matrix(g.matrix @ x.matrix() @ original(g.matrix))
+        assert g.inverse() == GroupElement(sl3, original(g.matrix))
+        assert len(calls) <= 1
+
+    def test_cache_does_not_enter_equality_or_hash(self):
+        sl3 = lie_algebra(3)
+        g = sample_group_element(sl3, 47, 1)
+        fresh = GroupElement(sl3, g.matrix)
+        Ad(g, sample_element(sl3, 47, 0))
+        assert g == fresh and fresh == g
+        assert hash(g) == hash(fresh)
+        assert len({g, fresh}) == 1
+        assert g.inverse() == fresh.inverse()
+
+
 class TestCentralizer:
     def test_zero_is_whole_algebra(self):
         sl2 = lie_algebra(2)

@@ -14,6 +14,8 @@ from slicelab.liecore import (
     sample_element,
     sample_group_element,
 )
+from slicelab import slodowy
+from slicelab.liecore import LieAlgebra
 from slicelab.slodowy import (
     SliceError,
     Sl2Triple,
@@ -172,6 +174,57 @@ class TestSlodowySlice:
         assert slc.dim() == 3
         assert slc.codim() == 0
         assert slc.contains(sample_element(sl2, 11, 4))
+
+
+class TestSliceCaches:
+    @pytest.mark.parametrize("n,partition", [(2, (2,)), (3, (3,)), (3, (2, 1))])
+    def test_eta_sections_computed_once(self, n, partition, monkeypatch):
+        alg = lie_algebra(n)
+        slc = slodowy_slice(standard_triple(alg, partition))
+        fresh = slodowy_slice(standard_triple(alg, partition))
+        calls = []
+        original = LieAlgebra.ad_matrix
+
+        def counting(self, x):
+            calls.append(x)
+            return original(self, x)
+
+        monkeypatch.setattr(LieAlgebra, "ad_matrix", counting)
+        degrees = slc.grading.eigenvalues
+        first = {lam: slodowy._eta_section(slc, lam) for lam in degrees}
+        built = len(calls)
+        assert built == len(degrees)
+        y = sample_in_xi_plus_parabolic(slc, 53, 0)
+        for _ in range(2):
+            assert {lam: slodowy._eta_section(slc, lam) for lam in degrees} == first
+            conjugate_to_slice(slc, y)
+        assert len(calls) == built
+        monkeypatch.undo()
+        assert {lam: slodowy._eta_section(fresh, lam) for lam in degrees} == first
+        assert slc == fresh
+
+    @pytest.mark.parametrize("n,partition", [(2, (2,)), (3, (3,)), (3, (2, 1))])
+    def test_is_principal_computed_once(self, n, partition, monkeypatch):
+        alg = lie_algebra(n)
+        slc = slodowy_slice(standard_triple(alg, partition))
+        fresh = slodowy_slice(standard_triple(alg, partition))
+        calls = []
+        original = slodowy.is_regular
+
+        def counting(x):
+            calls.append(x)
+            return original(x)
+
+        monkeypatch.setattr(slodowy, "is_regular", counting)
+        value = slc.is_principal()
+        built = len(calls)
+        assert built >= 1
+        assert [slc.is_principal() for _ in range(3)] == [value] * 3
+        if value:
+            chi_section(slc, sample_element(alg, 59, 0))
+        assert len(calls) == built
+        monkeypatch.undo()
+        assert fresh.is_principal() == value == (partition == (n,))
 
 
 class TestConjugateToSlice:
