@@ -40,6 +40,11 @@ _MONOMIAL_RE = re.compile(
 )
 
 
+# The limit kernel pads each curve row densely over its exponent spread, so
+# an unbounded exponent can exhaust memory; desk-scale curves stay far below.
+MAX_EXPONENT = 1000
+
+
 class CliError(ValueError):
     pass
 
@@ -62,7 +67,9 @@ def parse_monomial(text: str) -> LaurentPoly:
     coeff = parse_rational(m.group("coeff")) if m.group("coeff") else Fraction(1)
     if not m.group("t"):
         return LaurentPoly.const(coeff)
-    exp = int(m.group("exp")) if m.group("exp") else 1
+    exp = _to_int(m.group("exp"), "exponent") if m.group("exp") else 1
+    if abs(exp) > MAX_EXPONENT:
+        raise CliError(f"exponent {exp} in {text!r} exceeds {MAX_EXPONENT} in absolute value")
     return LaurentPoly.t_power(exp, coeff)
 
 

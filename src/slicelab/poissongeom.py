@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .exactnum import Dual, Mat, dual_mat_inverse, join_dual_matrix, span_contains
 from .liecore import (
@@ -147,36 +148,8 @@ def cotangent_bivector_identity(x: Element, alpha, beta):
 
 
 def moment_eval(space: str, point, slc: SlodowySlice | None = None):
-    """Exact moment-map value for the named space; membership is enforced
-    for the slice-constrained spaces."""
-    if space == "tstarg-left":
-        return Ad(point.g, point.x)
-    if space == "tstarg-right":
-        return point.x
-    if space == "tstarg-both":
-        return MomentValue(Ad(point.g, point.x), point.x)
-    if space == "tstargbar-logd":
-        if not isinstance(point, LogCotangentPoint):
-            raise UnsupportedSpaceError("tstargbar-logd expects a log-cotangent point")
-        return MomentValue(point.pair[0], point.pair[1])
-    if space == "g-stau":
-        g, s = point
-        if slc is None or not slc.contains(s):
-            raise MembershipError("second component must lie on the slice")
-        return Ad(g, s)
-    if space == "gbar-stau":
-        if slc is None or not isinstance(point, LogCotangentPoint):
-            raise UnsupportedSpaceError("gbar-stau expects a log-cotangent point and a slice")
-        if not slc.contains(point.pair[1]):
-            raise MembershipError("second pair component must lie on the slice")
-        return point.pair[0]
-    if space == "product-tstarg":
-        nu_value, inner = point
-        return product_moment_tstarg(nu_value, inner)
-    if space == "product-logd":
-        nu_value, inner = point
-        return product_moment_logd(nu_value, inner)
-    raise UnsupportedSpaceError(f"unknown space {space!r}")
+    """Exact moment-map value for the named space, after its membership test."""
+    return check_member(space, point, slc).moment(point)
 
 
 def product_moment_tstarg(nu_value: Element, p: CotangentPoint) -> MomentValue:
@@ -205,38 +178,47 @@ def _eps_coords(x: Element):
     return tuple(Dual.lift(c).derivative for c in x.coords)
 
 
-def _value_coords(x: Element):
-    return tuple(Dual.lift(c).value for c in x.coords)
+def _dual_directions(y: Element):
+    """The eps-curves y + eps*e_i through y along the coordinate directions."""
+    alg = y.algebra
+    return [
+        alg.element(tuple(Dual(c, Fraction(k == i)) for k, c in enumerate(y.coords)))
+        for i in range(alg.dim)
+    ]
+
+
+def _adjoint_field(y: Element, b: Element):
+    return _eps_coords(_dual_ad(Mat.identity(b.algebra.n), b.matrix(), y))
+
+
+def _right_field(p: CotangentPoint, b: Element):
+    # exp(eps b) . (g, x) = (g exp(-eps b), Ad_exp(eps b) x)
+    bm = b.matrix()
+    g0 = p.g.matrix
+    fibre = _dual_ad(Mat.identity(b.algebra.n), bm, p.x)
+    return _cotangent_velocity(g0, -(g0 @ bm), fibre)
+
+
+def _left_field(p: CotangentPoint, b: Element):
+    # exp(eps b) . (g, x) = (exp(eps b) g, x)
+    g0 = p.g.matrix
+    return _cotangent_velocity(g0, b.matrix() @ g0, p.x)
+
+
+def _cotangent_velocity(g0: Mat, g_derivative: Mat, fibre: Element):
+    """Left-trivialized velocity of the curve (g0 + eps*g_derivative, fibre):
+    the eps-part of g0^-1 g(eps), then the eps-part of the fibre."""
+    g0_inv = g0.inverse()
+    if g0_inv @ g0 != Mat.identity(g0.nrows):
+        raise AssertionError("group curve does not start at the base point")
+    alg = fibre.algebra
+    return tuple(alg.coords_from_matrix(g0_inv @ g_derivative)) + _eps_coords(fibre)
 
 
 def fundamental_vf(space: str, point, b: Element):
     """Coordinates of the fundamental vector field of b at the point,
     computed as the exact eps-derivative of the exp(eps*b)-action."""
-    alg = b.algebra
-    ident = Mat.identity(alg.n)
-    bm = b.matrix()
-    if space == "lie-poisson":
-        moved = _dual_ad(ident, bm, point)
-        return _eps_coords(moved)
-    if space in ("tstarg-right", "tstarg-left"):
-        g0 = point.g.matrix
-        if space == "tstarg-right":
-            # exp(eps b) . (g, x) = (g exp(-eps b), Ad_exp(eps b) x)
-            curve_value, curve_der = g0, -(g0 @ bm)
-            fibre = _dual_ad(ident, bm, point.x)
-        else:
-            # exp(eps b) . (g, x) = (exp(eps b) g, x)
-            curve_value, curve_der = g0, bm @ g0
-            fibre = point.x.algebra.element_from_matrix(point.x.matrix().map(Dual.lift))
-        # left-trivialized velocity: eps-part of g0^-1 g(eps)
-        g0_inv = g0.inverse()
-        value_part = g0_inv @ curve_value
-        if value_part != ident:
-            raise AssertionError("group curve does not start at the base point")
-        v = tuple(alg.coords_from_matrix(g0_inv @ curve_der))
-        w = _eps_coords(fibre)
-        return v + w
-    raise UnsupportedSpaceError(f"no fundamental field model for {space!r}")
+    return space_part(space, "fundamental")(point, b)
 
 
 def check_moment_condition(space: str, point, b: Element, slc: SlodowySlice | None = None):
@@ -247,41 +229,14 @@ def check_moment_condition(space: str, point, b: Element, slc: SlodowySlice | No
     field is the eps-derivative of the action.  Everything is exact, so a
     single mismatch is a definitive counterexample.
     """
-    alg = b.algebra
-    ident = Mat.identity(alg.n)
-    if space == "lie-poisson":
-        y = point
-        pb = lie_poisson_bivector(alg, y)
-        covector = []
-        for i in range(alg.dim):
-            dual_pt = alg.element(
-                tuple(Dual(c, Fraction(k == i)) for k, c in enumerate(y.coords))
-            )
-            covector.append(_nu_b_dual(space, dual_pt, b))
-        covector = tuple(c.derivative for c in covector)
-        hamiltonian = tuple(-c for c in pb.apply(covector))
-        fundamental = fundamental_vf(space, y, b)
-    elif space in ("tstarg-right", "tstarg-left"):
-        if point.g != GroupElement.identity(alg):
-            raise UnsupportedSpaceError("T*G bivector is implemented at (e, x) only")
-        x = point.x
-        pb = cotangent_bivector(alg, x)
-        covector = []
-        for i in range(alg.dim):  # group directions
-            dual_val = _nu_b_dual_tstarg(space, ident, alg.basis[i], x, b)
-            covector.append(dual_val.derivative)
-        for i in range(alg.dim):  # fibre directions
-            dual_x = alg.element(
-                tuple(Dual(c, Fraction(k == i)) for k, c in enumerate(x.coords))
-            )
-            dual_val = _nu_b_dual_tstarg(space, ident, Mat.zeros(alg.n, alg.n), dual_x, b)
-            covector.append(dual_val.derivative)
-        hamiltonian = tuple(-c for c in pb.apply(tuple(covector)))
-        fundamental = fundamental_vf(space, point, b)
-    else:
-        raise UnsupportedSpaceError(f"moment condition not implemented on {space!r}")
-
-    negated = tuple(-c for c in fundamental)
+    condition = space_part(space, "moment_condition")
+    pb = condition.bivector(point)
+    covector = tuple(
+        Dual.lift(condition.sign * killing(value, b)).derivative
+        for value in condition.dual_moments(point)
+    )
+    hamiltonian = tuple(-c for c in pb.apply(covector))
+    negated = tuple(-c for c in fundamental_vf(space, point, b))
     ok = hamiltonian == negated
     witness = None
     if not ok:
@@ -293,20 +248,137 @@ def check_moment_condition(space: str, point, b: Element, slc: SlodowySlice | No
     return ok, witness
 
 
-def _nu_b_dual(space: str, dual_point: Element, b: Element) -> Dual:
-    """nu^b on g with the Lie-Poisson structure of the adjoint (right-factor) action."""
-    if space != "lie-poisson":
-        raise UnsupportedSpaceError(space)
-    return Dual.lift(-killing(dual_point, b))
+# --- the table of Hamiltonian spaces ---------------------------------------
 
 
-def _nu_b_dual_tstarg(space: str, g_value: Mat, g_derivative: Mat, x: Element, b: Element) -> Dual:
-    """nu^b on T*G: rho_R pairs with the second-factor sign, rho_L pairs plainly."""
-    if space == "tstarg-right":
-        return Dual.lift(-killing(x, b))
-    if space == "tstarg-left":
-        return Dual.lift(killing(_dual_ad(g_value, g_derivative, x), b))
-    raise UnsupportedSpaceError(space)
+@dataclass(frozen=True)
+class MomentCondition:
+    """What the test H_(nu^b) = -V_b needs on a space: nu^b = sign * <nu, b>
+    (-1 for right-factor actions, +1 for left-factor ones), the pointed
+    bivector, and nu along the eps-curves of the bivector's coordinates."""
+
+    sign: int
+    bivector: Callable
+    dual_moments: Callable
+
+
+@dataclass(frozen=True)
+class SpaceModel:
+    """One Hamiltonian G-space: its points, moment map and action.
+
+    ``member(data, slc)`` is the membership test.  On a member point,
+    ``moment`` reads nu, ``action(data, g)`` moves it, ``fundamental(data,
+    b)`` is the eps-derivative of the exp(eps*b)-action (the velocity the
+    free-locus test asks to vanish), ``quotient`` its value in the explicit
+    X/G model, and ``normalizer`` the group element whose action carries the
+    free group component to the identity.  A piece the model lacks is None.
+    """
+
+    member: Callable
+    moment: Callable
+    action: Callable | None = None
+    fundamental: Callable | None = None
+    quotient: Callable | None = None
+    normalizer: Callable | None = None
+    moment_condition: MomentCondition | None = None
+
+
+def _is_cotangent(p, slc):
+    return isinstance(p, CotangentPoint)
+
+
+def _left_factor_action(p: LogCotangentPoint, g: GroupElement) -> LogCotangentPoint:
+    return p.act(g, GroupElement.identity(g.algebra))
+
+
+def _bivector_at_identity(p: CotangentPoint) -> PointedBivector:
+    if p.g != GroupElement.identity(p.x.algebra):
+        raise UnsupportedSpaceError("T*G bivector is implemented at (e, x) only")
+    return cotangent_bivector(p.x.algebra, p.x)
+
+
+def _left_dual_moments(p: CotangentPoint):
+    """Ad_g x along the group directions at (e, x), then the fibre coordinate
+    along the fibre directions, where g stays at e."""
+    ident = Mat.identity(p.x.algebra.n)
+    return [_dual_ad(ident, m, p.x) for m in p.x.algebra.basis] + _dual_directions(p.x)
+
+
+SPACES = {
+    # g with the adjoint action and its Lie-Poisson structure
+    "lie-poisson": SpaceModel(
+        lambda y, slc: isinstance(y, Element), lambda y: y, fundamental=_adjoint_field,
+        moment_condition=MomentCondition(
+            -1, lambda y: lie_poisson_bivector(y.algebra, y), _dual_directions
+        ),
+    ),
+    # T*G with rho_R: exp(eps b) . (g, x) = (g exp(-eps b), Ad_exp(eps b) x)
+    "tstarg-right": SpaceModel(
+        _is_cotangent, lambda p: p.x,
+        action=lambda p, g: CotangentPoint(p.g * g.inverse(), Ad(g, p.x)),
+        fundamental=_right_field, quotient=lambda p: Ad(p.g, p.x), normalizer=lambda p: p.g,
+        moment_condition=MomentCondition(
+            -1, _bivector_at_identity, lambda p: [p.x] * p.x.algebra.dim + _dual_directions(p.x)
+        ),
+    ),
+    # T*G with rho_L: exp(eps b) . (g, x) = (exp(eps b) g, x)
+    "tstarg-left": SpaceModel(
+        _is_cotangent, lambda p: Ad(p.g, p.x), fundamental=_left_field,
+        moment_condition=MomentCondition(1, _bivector_at_identity, _left_dual_moments),
+    ),
+    # T*G with the pair action rho_L x rho_R
+    "tstarg-both": SpaceModel(_is_cotangent, lambda p: MomentValue(Ad(p.g, p.x), p.x)),
+    # G x S_tau, the points (g, s) of T*G with s on the slice, under rho_L
+    "g-stau": SpaceModel(
+        lambda p, slc: slc is not None and slc.contains(p[1]),
+        lambda p: Ad(p[0], p[1]), action=lambda p, g: (g * p[0], p[1]),
+        fundamental=lambda p, b: _left_field(CotangentPoint(*p), b),
+        quotient=lambda p: p[1], normalizer=lambda p: p[0].inverse(),
+    ),
+    # Gbar x S_tau and T*Gbar(log D) under the left-factor action
+    "gbar-stau": SpaceModel(
+        lambda p, slc: slc is not None
+        and isinstance(p, LogCotangentPoint)
+        and slc.contains(p.pair[1]),
+        lambda p: p.pair[0], action=_left_factor_action,
+    ),
+    "tstargbar-logd": SpaceModel(
+        lambda p, slc: isinstance(p, LogCotangentPoint),
+        lambda p: MomentValue(p.pair[0], p.pair[1]), action=_left_factor_action,
+    ),
+    # X x T*G and X x T*Gbar(log D), a point being (nu(x), second factor)
+    "product-tstarg": SpaceModel(
+        lambda p, slc: isinstance(p[1], CotangentPoint),
+        lambda p: product_moment_tstarg(p[0], p[1]),
+    ),
+    "product-logd": SpaceModel(
+        lambda p, slc: isinstance(p[1], LogCotangentPoint),
+        lambda p: product_moment_logd(p[0], p[1]),
+    ),
+}
+
+
+def space_model(tag: str) -> SpaceModel:
+    """The table entry of a space tag."""
+    if tag not in SPACES:
+        raise UnsupportedSpaceError(f"unknown space {tag!r} (expected one of {tuple(SPACES)})")
+    return SPACES[tag]
+
+
+def check_member(tag: str, data, slc: SlodowySlice | None = None) -> SpaceModel:
+    """The model of the space, once the point passes its membership test."""
+    model = space_model(tag)
+    if not model.member(data, slc):
+        raise MembershipError(f"not a point of the space {tag!r}")
+    return model
+
+
+def space_part(tag: str, part: str):
+    """One field of a space's model; UnsupportedSpaceError if it is not implemented."""
+    value = getattr(space_model(tag), part)
+    if value is None:
+        raise UnsupportedSpaceError(f"no {part} model for space {tag!r}")
+    return value
 
 
 # --- transversality ------------------------------------------------------
@@ -362,28 +434,16 @@ def _pair(covector, vector):
     return sum((a * v for a, v in zip(covector, vector)), Fraction(0))
 
 
-def slice_codimension(slc: SlodowySlice, space: str = "lie-poisson") -> int:
+def slice_codimension(slc: SlodowySlice) -> int:
     """dim g - dim g_eta, checked against the transversal complement at sample points."""
     value = slc.algebra.dim - slc.dim()
     alg = slc.algebra
+    tangent = [d.coords for d in slc.directions]
     for i in range(3):
         coeffs = [
             Fraction(((i + 1) * (k + 2)) % 5 - 2) for k in range(slc.dim())
         ]
-        s = slc.point(coeffs)
-        if space == "lie-poisson":
-            pb = lie_poisson_bivector(alg, s)
-            tangent = [d.coords for d in slc.directions]
-        elif space == "tstarg-right":
-            pb = cotangent_bivector(alg, s)
-            zero = tuple(Fraction(0) for _ in range(alg.dim))
-            tangent = [
-                tuple(Fraction(k == j) for k in range(alg.dim)) + zero
-                for j in range(alg.dim)
-            ] + [zero + d.coords for d in slc.directions]
-        else:
-            raise UnsupportedSpaceError(space)
-        result = transversal_check(pb, tangent)
+        result = transversal_check(lie_poisson_bivector(alg, slc.point(coeffs)), tangent)
         if not result.ok or len(result.complement_basis) != value:
             raise AssertionError("slice codimension disagrees with transversal complement")
     return value

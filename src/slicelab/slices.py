@@ -20,14 +20,15 @@ from fractions import Fraction
 from math import isqrt
 
 from .exactnum import Mat
-from .liecore import (
-    Ad,
-    Element,
-    GroupElement,
-    LieAlgebra,
-    bracket,
+from .liecore import Ad, Element, GroupElement, bracket
+from .poissongeom import (
+    MomentValue,
+    UnsupportedSpaceError,
+    check_member,
+    fundamental_vf,
+    space_model,
+    space_part,
 )
-from .poissongeom import CotangentPoint, MomentValue, UnsupportedSpaceError, fundamental_vf
 from .slodowy import InternalCheckError, SliceError, SlodowySlice, chi_section
 from .wonderful import (
     LogCotangentPoint,
@@ -38,78 +39,27 @@ from .wonderful import (
     pgl2_model,
 )
 
-# spaces with a normalizable free component, usable as the X of a reduction
-X_SPACE_TAGS = ("tstarg-right", "g-stau")
-SPACE_TAGS = X_SPACE_TAGS + ("tstarg-left", "tstarg-both", "gbar-stau", "tstargbar-logd")
-
 
 @dataclass(frozen=True)
 class HamiltonianSpacePoint:
-    """A point of one of the named Hamiltonian spaces, membership-checked."""
+    """A point of one of the Hamiltonian spaces of ``poissongeom.SPACES``,
+    membership-checked once, at construction."""
 
     tag: str
     data: object
     slc: SlodowySlice | None = None
 
     def __post_init__(self):
-        tag, data = self.tag, self.data
-        if tag in ("tstarg-right", "tstarg-left", "tstarg-both"):
-            if not isinstance(data, CotangentPoint):
-                raise MembershipError(f"{tag} expects a cotangent point")
-        elif tag == "g-stau":
-            g, s = data
-            if self.slc is None or not self.slc.contains(s):
-                raise MembershipError("g-stau point needs its second component on the slice")
-        elif tag == "gbar-stau":
-            if self.slc is None or not isinstance(data, LogCotangentPoint):
-                raise MembershipError("gbar-stau expects a log-cotangent point and a slice")
-            if not self.slc.contains(data.pair[1]):
-                raise MembershipError("gbar-stau pair must end on the slice")
-        elif tag == "tstargbar-logd":
-            if not isinstance(data, LogCotangentPoint):
-                raise MembershipError("tstargbar-logd expects a log-cotangent point")
-        else:
-            raise UnsupportedSpaceError(
-                f"unknown space tag {tag!r} (expected one of {SPACE_TAGS})"
-            )
-
-    @property
-    def algebra(self) -> LieAlgebra:
-        if self.tag == "g-stau":
-            return self.data[1].algebra
-        if self.tag in ("gbar-stau", "tstargbar-logd"):
-            return self.data.pair[0].algebra
-        return self.data.x.algebra
+        check_member(self.tag, self.data, self.slc)
 
     def nu(self):
         """Moment value of the point for its space's distinguished action."""
-        tag, data = self.tag, self.data
-        if tag == "tstarg-right":
-            return data.x
-        if tag == "tstarg-left":
-            return Ad(data.g, data.x)
-        if tag == "tstarg-both":
-            return MomentValue(Ad(data.g, data.x), data.x)
-        if tag == "g-stau":
-            g, s = data
-            return Ad(g, s)
-        if tag == "gbar-stau":
-            return data.pair[0]
-        if tag == "tstargbar-logd":
-            return MomentValue(data.pair[0], data.pair[1])
-        raise UnsupportedSpaceError(tag)
+        return space_model(self.tag).moment(self.data)
 
     def act(self, g: GroupElement) -> "HamiltonianSpacePoint":
         """The G-action of the space's Hamiltonian structure."""
-        tag, data = self.tag, self.data
-        if tag == "tstarg-right":
-            return HamiltonianSpacePoint(
-                tag, CotangentPoint(data.g * g.inverse(), Ad(g, data.x))
-            )
-        if tag == "g-stau":
-            h, s = data
-            return HamiltonianSpacePoint(tag, (g * h, s), self.slc)
-        raise UnsupportedSpaceError(f"no implemented action on {tag!r}")
+        moved = space_part(self.tag, "action")(self.data, g)
+        return HamiltonianSpacePoint(self.tag, moved, self.slc)
 
 
 def slice_membership(p: HamiltonianSpacePoint, slc: SlodowySlice) -> bool:
@@ -128,6 +78,14 @@ def universal_centralizer_contains(
     return slc.contains(x) and Ad(g, x) == x
 
 
+# the space of the second factor of each reduction ambient
+AMBIENT_SPACES = {
+    "g-stau-product": "g-stau",
+    "gbar-stau-product": "gbar-stau",
+    "logd-product": "tstargbar-logd",
+}
+
+
 @dataclass(frozen=True)
 class ReductionClass:
     """Orbit of the zero moment level, stored as an explicit representative.
@@ -144,39 +102,21 @@ class ReductionClass:
     normalization_tag: str | None = None
 
     def __post_init__(self):
-        nu_x = self.x.nu()
-        if self.ambient == "g-stau-product":
-            g, y = self.second
-            if self.slc is None or not self.slc.contains(y):
-                raise MembershipError("second factor must lie in G x S_tau")
-            if nu_x != Ad(g, y):
-                raise MembershipError("zero-moment condition nu(x) = Ad_g(y) fails")
-        elif self.ambient == "gbar-stau-product":
-            point = self.second
-            if self.slc is None or not isinstance(point, LogCotangentPoint):
-                raise MembershipError("second factor must lie in Gbar x S_tau")
-            if not self.slc.contains(point.pair[1]):
-                raise MembershipError("second factor must end on the slice")
-            if nu_x != point.pair[0]:
-                raise MembershipError("zero-moment condition nu(x) = y1 fails")
-        elif self.ambient == "logd-product":
-            point = self.second
-            if not isinstance(point, LogCotangentPoint):
-                raise MembershipError("second factor must lie in T*Gbar(log D)")
-            if nu_x != point.pair[0]:
-                raise MembershipError("zero-moment condition nu(x) = y1 fails")
-        else:
+        model = check_member(self._second_tag(), self.second, self.slc)
+        if self.x.nu() != _left_moment(model.moment(self.second)):
+            raise MembershipError(
+                "zero-moment condition fails: nu(x) differs from the second factor's left moment"
+            )
+
+    def _second_tag(self) -> str:
+        if self.ambient not in AMBIENT_SPACES:
             raise UnsupportedSpaceError(f"unknown ambient {self.ambient!r}")
+        return AMBIENT_SPACES[self.ambient]
 
     def act(self, g: GroupElement) -> "ReductionClass":
         """Diagonal action: the X-action paired with the left-factor action."""
         moved_x = self.x.act(g)
-        if self.ambient == "g-stau-product":
-            h, y = self.second
-            moved_second = (g * h, y)
-        else:
-            ident = GroupElement.identity(g.algebra)
-            moved_second = self.second.act(g, ident)
+        moved_second = space_model(self._second_tag()).action(self.second, g)
         return ReductionClass(self.ambient, moved_x, moved_second, self.slc)
 
     def __eq__(self, other):
@@ -184,23 +124,22 @@ class ReductionClass:
             return False
         a = normalize_class(self)
         b = normalize_class(other)
-        return a.x == b.x and _second_equal(a.second, b.second)
+        return a.x == b.x and a.second == b.second
 
     def __hash__(self):
         return hash(self.ambient)
 
 
-def _second_equal(a, b):
-    if isinstance(a, LogCotangentPoint):
-        return a.gamma == b.gamma and a.pair == b.pair
-    return a == b
+def _left_moment(value):
+    """The left-factor component of a moment value."""
+    return value.left if isinstance(value, MomentValue) else value
 
 
 def psi_tau(x: HamiltonianSpacePoint, slc: SlodowySlice) -> ReductionClass:
     """The atomic presentation x -> [x : (e, nu(x))] of the Poisson slice."""
     if not slice_membership(x, slc):
         raise SliceError("point is not on the Poisson slice")
-    ident = GroupElement.identity(x.algebra)
+    ident = GroupElement.identity(slc.algebra)
     return ReductionClass(
         "g-stau-product", x, (ident, x.nu()), slc, normalization_tag="second"
     )
@@ -210,9 +149,8 @@ def k_tau(x: HamiltonianSpacePoint, slc: SlodowySlice) -> ReductionClass:
     """The compactifying embedding x -> [x : (g_Delta, (nu(x), nu(x)))]."""
     if not slice_membership(x, slc):
         raise SliceError("point is not on the Poisson slice")
-    alg = x.algebra
     nu_x = x.nu()
-    gamma = diagonal_subspace(alg)
+    gamma = diagonal_subspace(slc.algebra)
     if not in_gbar_stau(gamma, (nu_x, nu_x), slc):
         raise InternalCheckError("k_tau image escaped Gbar x S_tau")
     return ReductionClass(
@@ -222,9 +160,8 @@ def k_tau(x: HamiltonianSpacePoint, slc: SlodowySlice) -> ReductionClass:
 
 def k_zero(x: HamiltonianSpacePoint) -> ReductionClass:
     """The tau = 0 embedding into X x T*Gbar(log D), used by the moment triangle."""
-    alg = x.algebra
     nu_x = x.nu()
-    gamma = diagonal_subspace(alg)
+    gamma = diagonal_subspace(nu_x.algebra)
     return ReductionClass("logd-product", x, LogCotangentPoint(gamma, (nu_x, nu_x)), None)
 
 
@@ -232,33 +169,19 @@ def normalize_class(cls: ReductionClass) -> ReductionClass:
     """Canonical representative: the unique translate with the free component
     at the identity (the G x S_tau group factor for the atomic ambient, the
     X group factor otherwise)."""
-    if cls.ambient == "g-stau-product":
-        h, _ = cls.second
-        mover = h.inverse()
-        tag = "second"
+    normalizer = space_model(cls._second_tag()).normalizer
+    if normalizer is not None:
+        mover, tag = normalizer(cls.second), "second"
     else:
-        if cls.x.tag == "tstarg-right":
-            mover = cls.x.data.g
-        elif cls.x.tag == "g-stau":
-            mover = cls.x.data[0].inverse()
-        else:
-            raise UnsupportedSpaceError(
-                f"no normalization along X of tag {cls.x.tag!r}"
-            )
-        tag = "x"
-    if mover == GroupElement.identity(cls.x.algebra):
-        return ReductionClass(cls.ambient, cls.x, cls.second, cls.slc, tag)
-    moved = cls.act(mover)
-    return ReductionClass(moved.ambient, moved.x, moved.second, moved.slc, tag)
+        mover, tag = space_part(cls.x.tag, "normalizer")(cls.x.data), "x"
+    if mover != GroupElement.identity(mover.algebra):
+        cls = cls.act(mover)
+    return ReductionClass(cls.ambient, cls.x, cls.second, cls.slc, tag)
 
 
 def quotient_model(x: HamiltonianSpacePoint):
     """Value of the orbit of x in the explicit X/G model."""
-    if x.tag == "tstarg-right":
-        return Ad(x.data.g, x.data.x)
-    if x.tag == "g-stau":
-        return x.data[1]
-    raise UnsupportedSpaceError(f"no quotient model for {x.tag!r}")
+    return space_part(x.tag, "quotient")(x.data)
 
 
 def pi_maps_commute(x: HamiltonianSpacePoint, slc: SlodowySlice, probe: GroupElement):
@@ -447,15 +370,7 @@ def _stabilizer_infinitesimal(second: LogCotangentPoint, x: HamiltonianSpacePoin
 
     # X-part: velocity of the X-action must vanish.
     if x is not None:
-        velocities = []
-        for b in basis_elements:
-            if x.tag == "tstarg-right":
-                velocities.append(fundamental_vf("tstarg-right", x.data, b))
-            elif x.tag == "g-stau":
-                h, s = x.data
-                velocities.append(fundamental_vf("tstarg-left", CotangentPoint(h, s), b))
-            else:
-                raise UnsupportedSpaceError(f"no stabilizer model for X of tag {x.tag!r}")
+        velocities = [fundamental_vf(x.tag, x.data, b) for b in basis_elements]
         for p in range(len(velocities[0])):
             condition_rows.append(tuple(v[p] for v in velocities))
 
@@ -482,7 +397,7 @@ def group_stabilizer_pgl2(second: LogCotangentPoint, x: HamiltonianSpacePoint | 
     alg = second.pair[0].algebra
     if alg.n != 2:
         raise UnsupportedSpaceError("group-level solve is pgl2-specific")
-    if x is not None and x.tag not in X_SPACE_TAGS:
+    if x is not None and space_model(x.tag).normalizer is None:
         raise UnsupportedSpaceError(f"no group stabilizer model for X of tag {x.tag!r}")
     a = pgl2_model_matrix(second.gamma)
     y1 = second.pair[0].matrix()

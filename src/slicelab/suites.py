@@ -468,7 +468,7 @@ def check_moment_condition_lie_poisson(config: Config, algebras) -> CheckResult:
     return CheckResult("moment-condition-lie-poisson", "pass")
 
 
-def check_moment_condition_tstarg(config: Config, algebras) -> CheckResult:
+def check_moment_condition_tstarg_right(config: Config, algebras) -> CheckResult:
     count = max(20, config.samples)
     alg = algebras[config.n]
     ident = GroupElement.identity(alg)
@@ -813,7 +813,7 @@ SUITES = {
         check_moment_equivariance,
         check_omega_bivector_roundtrip,
         check_moment_condition_lie_poisson,
-        check_moment_condition_tstarg,
+        check_moment_condition_tstarg_right,
     ),
     "wonderful": (
         check_graph_injectivity,
@@ -843,8 +843,10 @@ def suite_names():
 def run_suite(name: str, config: Config, algebras=None) -> SuiteReport:
     """Execute every check of the named suite; 'all' concatenates them all.
 
-    ``algebras`` overrides the cached algebra per rank, which the tests use
-    to inject corrupted structure constants.
+    An exception raised inside a check becomes that check's result, with
+    status "error" and the exception as its witness, so the report is
+    always complete.  ``algebras`` overrides the cached algebra per rank,
+    which the tests use to inject corrupted structure constants.
     """
     if name not in suite_names():
         raise ConfigError(f"unknown suite {name!r} (expected one of {suite_names()})")
@@ -852,5 +854,15 @@ def run_suite(name: str, config: Config, algebras=None) -> SuiteReport:
     report = SuiteReport(name, config)
     selected = SUITES[name] if name != "all" else [c for s in SUITES.values() for c in s]
     for check in selected:
-        report.checks.append(check(config, algebras))
+        try:
+            result = check(config, algebras)
+        except Exception as exc:
+            witness = {"type": type(exc).__name__, "message": str(exc)}
+            result = CheckResult(check_name(check), "error", witness)
+        report.checks.append(result)
     return report
+
+
+def check_name(check) -> str:
+    """Report name of a check function: check_foo_bar reports as foo-bar."""
+    return check.__name__[len("check_"):].replace("_", "-")

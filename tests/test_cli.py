@@ -204,6 +204,23 @@ class TestMalformedRationals:
             parse_element("1//2,0,1", sl2)
 
 
+class TestExponentBound:
+    def test_parser_bound(self):
+        assert parse_monomial("t^1000") == LaurentPoly.t_power(1000)
+        assert parse_monomial("2t^-1000") == LaurentPoly.t_power(-1000, 2)
+        for text in ("t^1001", "t^-99999999999", "t^" + "9" * 5000):
+            with pytest.raises(CliError):
+                parse_monomial(text)
+
+    def test_huge_exponent_is_one_error_line(self):
+        res = run_cli(["limit", "--curve", "diag(t^99999999999,1)"])
+        assert res.returncode == 1
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [
+            "error: exponent 99999999999 in 't^99999999999' exceeds 1000 in absolute value"
+        ]
+
+
 class TestFibreCommand:
     def test_fibre_at_s1(self):
         res = run_cli(["fibre", "--point", "s(1)", "--json"])

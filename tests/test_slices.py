@@ -11,7 +11,7 @@ from slicelab.liecore import (
     sample_element,
     sample_group_element,
 )
-from slicelab.poissongeom import CotangentPoint
+from slicelab.poissongeom import CotangentPoint, moment_eval
 from slicelab.slices import (
     HamiltonianSpacePoint,
     compactified_fibre_pgl2,
@@ -131,6 +131,27 @@ class TestSpacePoints:
         p = HamiltonianSpacePoint("tstargbar-logd", point)
         value = p.nu()
         assert value.left == y and value.right == y
+
+    def test_moment_eval_shares_the_membership_test(self):
+        sl2 = lie_algebra(2)
+        slc = principal_slice(sl2)
+        g = sample_group_element(sl2, 7, 1)
+        h = sl2.named("h")
+        s = slice_point(slc, 1)
+        on_slice = LogCotangentPoint(diagonal_subspace(sl2), (s, s))
+        off_slice = LogCotangentPoint(diagonal_subspace(sl2), (h, h))
+        bad = [
+            ("g-stau", (g, h), slc),
+            ("gbar-stau", off_slice, slc),
+            ("gbar-stau", on_slice, None),
+            ("tstargbar-logd", CotangentPoint(g, h), None),
+            ("tstarg-left", on_slice, None),
+        ]
+        for tag, data, space_slice in bad:
+            with pytest.raises(MembershipError):
+                HamiltonianSpacePoint(tag, data, space_slice)
+            with pytest.raises(MembershipError):
+                moment_eval(tag, data, space_slice)
 
     def test_unknown_tag_rejected(self):
         sl2 = lie_algebra(2)

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import pytest
 
+from slicelab import cli, poissongeom
 from slicelab.liecore import LieAlgebra, lie_algebra
-from slicelab.suites import Config, ConfigError, run_suite, suite_names
+from slicelab.suites import SUITES, Config, ConfigError, check_name, run_suite, suite_names
 
 
 def corrupted_sl2():
@@ -89,3 +91,45 @@ class TestRunSuite:
         algebras = {2: corrupted_sl2(), 3: lie_algebra(3)}
         report = run_suite("liecore", Config(samples=2), algebras=algebras)
         json.dumps(report.to_dict())
+
+
+def plant(monkeypatch, tag, **changes):
+    """Swap one entry of the space table for a copy with the given fields."""
+    model = dataclasses.replace(poissongeom.SPACES[tag], **changes)
+    monkeypatch.setitem(poissongeom.SPACES, tag, model)
+
+
+def check_named(report, name):
+    return next(c for c in report.checks if c.name == name)
+
+
+class TestPlantedSpaceFaults:
+    def test_moment_condition_sign_flip(self, monkeypatch):
+        condition = poissongeom.SPACES["tstarg-right"].moment_condition
+        plant(monkeypatch, "tstarg-right", moment_condition=dataclasses.replace(condition, sign=1))
+        report = run_suite("poisson", Config(samples=2))
+        check = check_named(report, "moment-condition-tstarg-right")
+        assert check.status == "fail"
+        assert "hamiltonian_field" in check.witness
+
+    def test_left_moment_without_ad(self, monkeypatch):
+        plant(monkeypatch, "tstarg-left", moment=lambda p: p.x)
+        check = check_named(run_suite("poisson", Config(samples=2)), "moment-equivariance")
+        assert check.status == "fail"
+        assert check.witness["map"] == "rho_L"
+
+    def test_g_stau_moment_without_ad_is_an_error_check(self, monkeypatch, capsys):
+        plant(monkeypatch, "g-stau", moment=lambda p: p[1])
+        assert cli.main(["verify", "all"]) == 1
+        data = json.loads(capsys.readouterr().out)
+        assert data["status"] == "fail"
+        checks = {c["name"]: c for c in data["checks"]}
+        assert checks["moment-equivariance"]["status"] == "fail"
+        errors = [c for c in data["checks"] if c["status"] == "error"]
+        assert errors and all(c["witness"]["type"] == "MembershipError" for c in errors)
+
+
+def test_report_names_follow_check_function_names():
+    report = run_suite("all", Config(samples=2))
+    expected = [check_name(fn) for checks in SUITES.values() for fn in checks]
+    assert [c.name for c in report.checks] == expected
