@@ -6,6 +6,12 @@ report pass/fail with an input witness on failure, so a failing run pins
 down an exact counterexample.  Sample counts written into the underlying
 properties are floors: raising ``samples`` raises the effort, lowering it
 never goes below the documented count.
+
+A check is a module function ``check_foo_bar(config, algebras)`` that
+returns its failure witness, a dict, or ``None`` when it passes.
+Decorated with ``@check("suite")``, it joins ``SUITES[suite]`` in
+definition order and returns a ``CheckResult`` named ``foo-bar`` after the
+function (``check_name``).
 """
 
 from __future__ import annotations
@@ -81,7 +87,7 @@ class Config:
     def __post_init__(self):
         if self.algebra not in ("a1", "a2"):
             raise ConfigError(f"algebra must be a1 or a2, got {self.algebra!r}")
-        n = 2 if self.algebra == "a1" else 3
+        n = self.n
         partition = tuple(self.partition) or (n,)
         object.__setattr__(self, "partition", partition)
         if sum(partition) != n or any(p < 1 for p in partition):
@@ -156,81 +162,104 @@ def _algebras(override):
     return override
 
 
+def check_name(check) -> str:
+    """Report name of a check function: check_foo_bar reports as foo-bar."""
+    return check.__name__[len("check_"):].replace("_", "-")
+
+
+SUITES: dict = {}
+
+
+def check(suite: str):
+    """Register a witness function as the next check of ``suite``.
+
+    The registered function is called as ``(config, algebras)`` and returns
+    a ``CheckResult``: "pass" when the witness is ``None``, else "fail" with
+    the witness.
+    """
+
+    def register(fn):
+        name = check_name(fn)
+
+        def run(config: Config, algebras) -> CheckResult:
+            witness = fn(config, algebras)
+            if witness is None:
+                return CheckResult(name, "pass")
+            return CheckResult(name, "fail", witness)
+
+        # Not functools.wraps: benchmark/tracer.py takes a __wrapped__
+        # attribute as the mark of an entry point it patched.
+        run.__name__ = run.__qualname__ = fn.__name__
+        SUITES.setdefault(suite, []).append(run)
+        return run
+
+    return register
+
+
+def _samples(config: Config, floor: int):
+    return range(max(floor, config.samples))
+
+
+def _elements(alg, seed, i, k):
+    """Sample i of a k-strided run: elements k*i, ..., k*i + k - 1."""
+    return [sample_element(alg, seed, k * i + j) for j in range(k)]
+
+
 # --- liecore checks -------------------------------------------------------
 
 
-def check_jacobi_identity(config: Config, algebras) -> CheckResult:
-    count = max(50, config.samples)
+@check("liecore")
+def check_jacobi_identity(config, algebras):
     for n in (2, 3):
-        alg = algebras[n]
-        for i in range(count):
-            x = sample_element(alg, config.seed + 17, 3 * i)
-            y = sample_element(alg, config.seed + 17, 3 * i + 1)
-            z = sample_element(alg, config.seed + 17, 3 * i + 2)
+        for i in _samples(config, 50):
+            x, y, z = _elements(algebras[n], config.seed + 17, i, 3)
             total = (
                 bracket(bracket(x, y), z)
                 + bracket(bracket(y, z), x)
                 + bracket(bracket(z, x), y)
             )
             if not total.is_zero():
-                return CheckResult(
-                    "jacobi-identity",
-                    "fail",
-                    {"n": n, "x": x, "y": y, "z": z, "residual": total},
-                )
-    return CheckResult("jacobi-identity", "pass")
+                return {"n": n, "x": x, "y": y, "z": z, "residual": total}
 
 
-def check_killing_invariance(config: Config, algebras) -> CheckResult:
-    count = max(50, config.samples)
+@check("liecore")
+def check_killing_invariance(config, algebras):
     for n in (2, 3):
-        alg = algebras[n]
-        for i in range(count):
-            x = sample_element(alg, config.seed + 19, 3 * i)
-            y = sample_element(alg, config.seed + 19, 3 * i + 1)
-            z = sample_element(alg, config.seed + 19, 3 * i + 2)
+        for i in _samples(config, 50):
+            x, y, z = _elements(algebras[n], config.seed + 19, i, 3)
             if killing(bracket(x, y), z) + killing(y, bracket(x, z)) != 0:
-                return CheckResult(
-                    "killing-invariance", "fail", {"n": n, "x": x, "y": y, "z": z}
-                )
-    return CheckResult("killing-invariance", "pass")
+                return {"n": n, "x": x, "y": y, "z": z}
 
 
-def check_ad_invariance(config: Config, algebras) -> CheckResult:
-    count = max(20, config.samples)
+@check("liecore")
+def check_ad_invariance(config, algebras):
     for n in (2, 3):
         alg = algebras[n]
-        for i in range(count):
+        for i in _samples(config, 20):
             g = sample_group_element(alg, config.seed + 23, i)
-            x = sample_element(alg, config.seed + 23, 2 * i)
-            y = sample_element(alg, config.seed + 23, 2 * i + 1)
+            x, y = _elements(alg, config.seed + 23, i, 2)
             if killing(Ad(g, x), Ad(g, y)) != killing(x, y):
-                return CheckResult("ad-invariance", "fail", {"n": n, "g": g.matrix, "x": x, "y": y})
-    return CheckResult("ad-invariance", "pass")
+                return {"n": n, "g": g.matrix, "x": x, "y": y}
 
 
-def check_killing_trace_identity(config: Config, algebras) -> CheckResult:
-    count = max(20, config.samples)
+@check("liecore")
+def check_killing_trace_identity(config, algebras):
     for n in (2, 3):
-        alg = algebras[n]
-        for i in range(count):
-            x = sample_element(alg, config.seed + 29, 2 * i)
-            y = sample_element(alg, config.seed + 29, 2 * i + 1)
+        for i in _samples(config, 20):
+            x, y = _elements(algebras[n], config.seed + 29, i, 2)
             if killing(x, y) != 2 * n * (x.matrix() @ y.matrix()).trace():
-                return CheckResult("killing-trace-identity", "fail", {"n": n, "x": x, "y": y})
-    return CheckResult("killing-trace-identity", "pass")
+                return {"n": n, "x": x, "y": y}
 
 
-def check_chi_invariance(config: Config, algebras) -> CheckResult:
-    count = max(20, config.samples)
+@check("liecore")
+def check_chi_invariance(config, algebras):
     for n in (2, 3):
         alg = algebras[n]
-        for i in range(count):
+        for i in _samples(config, 20):
             g = sample_group_element(alg, config.seed + 31, i)
             x = sample_element(alg, config.seed + 31, i)
             if chi(Ad(g, x)) != chi(x):
-                return CheckResult("chi-invariance", "fail", {"n": n, "g": g.matrix, "x": x})
-    return CheckResult("chi-invariance", "pass")
+                return {"n": n, "g": g.matrix, "x": x}
 
 
 # --- slodowy checks -------------------------------------------------------
@@ -242,28 +271,21 @@ def _slice_for(algebras, n, partition):
     return slodowy_slice(standard_triple(algebras[n], partition))
 
 
-def check_slice_structure(config: Config, algebras) -> CheckResult:
+@check("slodowy")
+def check_slice_structure(config, algebras):
     for n, partition in _SLICE_CASES:
         slc = _slice_for(algebras, n, partition)
-        alg = algebras[n]
         if slc.dim() != len(slc.directions):
-            return CheckResult("slice-structure", "fail", {"partition": partition})
+            return {"partition": partition}
         for d in slc.directions:
             if not slc.in_xi_plus_parabolic(slc.base + d):
-                return CheckResult(
-                    "slice-structure", "fail", {"partition": partition, "direction": d}
-                )
+                return {"partition": partition, "direction": d}
         even = 1 not in slc.grading.eigenvalues and -1 not in slc.grading.eigenvalues
         stab_is_nilradical = len(slc.stabilizer_nilradical) == len(slc.nilradical)
         if even != stab_is_nilradical:
-            return CheckResult(
-                "slice-structure",
-                "fail",
-                {"partition": partition, "even": even, "stabilizer=nilradical": stab_is_nilradical},
-            )
-        if slc.codim() != alg.dim - slc.dim():
-            return CheckResult("slice-structure", "fail", {"partition": partition})
-    return CheckResult("slice-structure", "pass")
+            return {"partition": partition, "even": even, "stabilizer=nilradical": stab_is_nilradical}
+        if slc.codim() != algebras[n].dim - slc.dim():
+            return {"partition": partition}
 
 
 def _sample_in_parabolic(slc, seed, i):
@@ -273,143 +295,117 @@ def _sample_in_parabolic(slc, seed, i):
     return y
 
 
-def check_conjugation_roundtrip(config: Config, algebras) -> CheckResult:
-    count = max(50, config.samples)
+@check("slodowy")
+def check_conjugation_roundtrip(config, algebras):
     for n in (2, 3):
         slc = _slice_for(algebras, n, (n,))
-        for i in range(count):
+        for i in _samples(config, 50):
             y = _sample_in_parabolic(slc, config.seed + 37 + n, i)
             res = conjugate_to_slice(slc, y)
             if Ad(res.u, res.s) != y or not slc.contains(res.s):
-                return CheckResult("conjugation-roundtrip", "fail", {"n": n, "y": y})
-    return CheckResult("conjugation-roundtrip", "pass")
+                return {"n": n, "y": y}
 
 
-def check_conjugation_chi(config: Config, algebras) -> CheckResult:
-    count = max(50, config.samples)
+@check("slodowy")
+def check_conjugation_chi(config, algebras):
     for n in (2, 3):
         slc = _slice_for(algebras, n, (n,))
-        for i in range(count):
+        for i in _samples(config, 50):
             y = _sample_in_parabolic(slc, config.seed + 41 + n, i)
-            res = conjugate_to_slice(slc, y)
-            if chi(res.s) != chi(y):
-                return CheckResult("conjugation-chi", "fail", {"n": n, "y": y})
-    return CheckResult("conjugation-chi", "pass")
+            if chi(conjugate_to_slice(slc, y).s) != chi(y):
+                return {"n": n, "y": y}
 
 
-def check_chi_section_idempotent(config: Config, algebras) -> CheckResult:
-    count = max(20, config.samples)
+@check("slodowy")
+def check_chi_section_idempotent(config, algebras):
     for n in (2, 3):
-        alg = algebras[n]
         slc = _slice_for(algebras, n, (n,))
-        for i in range(count):
-            x = sample_element(alg, config.seed + 43, i)
+        for i in _samples(config, 20):
+            x = sample_element(algebras[n], config.seed + 43, i)
             s = chi_section(slc, x)
             if chi_section(slc, s) != s:
-                return CheckResult("chi-section-idempotent", "fail", {"n": n, "x": x})
-    return CheckResult("chi-section-idempotent", "pass")
+                return {"n": n, "x": x}
 
 
-def check_principality_detection(config: Config, algebras) -> CheckResult:
+@check("slodowy")
+def check_principality_detection(config, algebras):
     slc = _slice_for(algebras, 3, (2, 1))
     try:
         chi_section(slc, algebras[3].basis_element(0))
     except SliceError:
-        return CheckResult("principality-detection", "pass")
-    return CheckResult(
-        "principality-detection", "fail", {"reason": "subregular slice accepted"}
-    )
+        return None
+    return {"reason": "subregular slice accepted"}
 
 
 # --- poisson checks -------------------------------------------------------
 
 
-def check_lie_poisson_jacobi(config: Config, algebras) -> CheckResult:
-    count = max(50, config.samples)
+@check("poisson")
+def check_lie_poisson_jacobi(config, algebras):
     for n in (2, 3):
-        alg = algebras[n]
-        for i in range(count):
-            y = sample_element(alg, config.seed + 47, 4 * i)
-            a = sample_element(alg, config.seed + 47, 4 * i + 1)
-            b = sample_element(alg, config.seed + 47, 4 * i + 2)
-            c = sample_element(alg, config.seed + 47, 4 * i + 3)
+        for i in _samples(config, 50):
+            y, a, b, c = _elements(algebras[n], config.seed + 47, i, 4)
             total = (
                 killing(y, bracket(bracket(a, b), c))
                 + killing(y, bracket(bracket(b, c), a))
                 + killing(y, bracket(bracket(c, a), b))
             )
             if total != 0:
-                return CheckResult("lie-poisson-jacobi", "fail", {"n": n, "y": y})
-    return CheckResult("lie-poisson-jacobi", "pass")
+                return {"n": n, "y": y}
 
 
-def check_product_convention(config: Config, algebras) -> CheckResult:
+@check("poisson")
+def check_product_convention(config, algebras):
     alg = algebras[2]
-    p1 = lie_poisson_bivector(alg, sample_element(alg, config.seed + 53, 0))
-    p2 = lie_poisson_bivector(alg, sample_element(alg, config.seed + 53, 1))
+    p1, p2 = (lie_poisson_bivector(alg, y) for y in _elements(alg, config.seed + 53, 0, 2))
     prod = product_bivector(p1, p2)
     for i in range(3):
         for j in range(3):
             if prod.matrix[i, j] != p1.matrix[i, j]:
-                return CheckResult("product-convention", "fail", {"block": "first"})
+                return {"block": "first"}
             if prod.matrix[3 + i, 3 + j] != -p2.matrix[i, j]:
-                return CheckResult("product-convention", "fail", {"block": "second"})
+                return {"block": "second"}
             if prod.matrix[i, 3 + j] != 0 or prod.matrix[3 + i, j] != 0:
-                return CheckResult("product-convention", "fail", {"block": "off"})
-    return CheckResult("product-convention", "pass")
+                return {"block": "off"}
 
 
-def check_transversal_decomposition(config: Config, algebras) -> CheckResult:
-    count = max(20, config.samples)
+def _slice_case_points(config, algebras, offset):
+    """(n, partition, slice tangent, point) over the slice cases, each slice built once."""
+    for n, partition in _SLICE_CASES:
+        slc = _slice_for(algebras, n, partition)
+        tangent = [d.coords for d in slc.directions]
+        for i in _samples(config, 20):
+            coeffs = [
+                sample_rational(config.seed + offset + n, slc.dim() * i + k)
+                for k in range(slc.dim())
+            ]
+            yield n, partition, tangent, slc.point(coeffs)
+
+
+@check("poisson")
+def check_transversal_decomposition(config, algebras):
     expected = {(2, (2,)): 2, (3, (3,)): 6, (3, (2, 1)): 4}
-    for n, partition in _SLICE_CASES:
+    for n, partition, tangent, y in _slice_case_points(config, algebras, 59):
+        result = transversal_check(lie_poisson_bivector(algebras[n], y), tangent)
+        if not result.ok or len(result.complement_basis) != expected[(n, partition)]:
+            return {"n": n, "partition": partition, "point": y}
+
+
+@check("poisson")
+def check_orbit_transversality(config, algebras):
+    for n, partition, tangent, y in _slice_case_points(config, algebras, 61):
         alg = algebras[n]
-        slc = _slice_for(algebras, n, partition)
-        tangent = [d.coords for d in slc.directions]
-        for i in range(count):
-            coeffs = [
-                sample_rational(config.seed + 59 + n, slc.dim() * i + k)
-                for k in range(slc.dim())
-            ]
-            y = slc.point(coeffs)
-            result = transversal_check(lie_poisson_bivector(alg, y), tangent)
-            if not result.ok or len(result.complement_basis) != expected[(n, partition)]:
-                return CheckResult(
-                    "transversal-decomposition",
-                    "fail",
-                    {"n": n, "partition": partition, "point": y},
-                )
-    return CheckResult("transversal-decomposition", "pass")
+        orbit = [fundamental_vf("lie-poisson", y, b) for b in alg.basis_elements()]
+        if Mat(tangent + orbit).rank() != alg.dim:
+            return {"n": n, "partition": partition, "point": y}
 
 
-def check_orbit_transversality(config: Config, algebras) -> CheckResult:
-    count = max(20, config.samples)
-    for n, partition in _SLICE_CASES:
-        alg = algebras[n]
-        slc = _slice_for(algebras, n, partition)
-        tangent = [d.coords for d in slc.directions]
-        for i in range(count):
-            coeffs = [
-                sample_rational(config.seed + 61 + n, slc.dim() * i + k)
-                for k in range(slc.dim())
-            ]
-            y = slc.point(coeffs)
-            orbit = [fundamental_vf("lie-poisson", y, b) for b in alg.basis_elements()]
-            if Mat(tangent + orbit).rank() != alg.dim:
-                return CheckResult(
-                    "orbit-transversality",
-                    "fail",
-                    {"n": n, "partition": partition, "point": y},
-                )
-    return CheckResult("orbit-transversality", "pass")
-
-
-def check_moment_equivariance(config: Config, algebras) -> CheckResult:
-    count = max(20, config.samples)
+@check("poisson")
+def check_moment_equivariance(config, algebras):
     alg = algebras[2]
     slc = principal_slice(alg)
     ident = GroupElement.identity(alg)
-    for i in range(count):
+    for i in _samples(config, 20):
         g = sample_group_element(alg, config.seed + 67, 2 * i)
         g0 = sample_group_element(alg, config.seed + 67, 2 * i + 1)
         y = sample_element(alg, config.seed + 67, i)
@@ -417,185 +413,162 @@ def check_moment_equivariance(config: Config, algebras) -> CheckResult:
         p = CotangentPoint(g0, y)
         moved = CotangentPoint(g * g0, y)
         if moment_eval("tstarg-left", moved) != Ad(g, moment_eval("tstarg-left", p)):
-            return CheckResult("moment-equivariance", "fail", {"map": "rho_L", "i": i})
+            return {"map": "rho_L", "i": i}
         # rho_tau on G x S_tau
         s = slc.point([sample_rational(config.seed + 67, i)])
         if moment_eval("g-stau", (g * g0, s), slc) != Ad(
             g, moment_eval("g-stau", (g0, s), slc)
         ):
-            return CheckResult("moment-equivariance", "fail", {"map": "rho_tau", "i": i})
+            return {"map": "rho_tau", "i": i}
         # rho_bar_tau on Gbar x S_tau
         point = LogCotangentPoint(diagonal_subspace(alg), (s, s))
         moved_point = point.act(g, ident)
         if moment_eval("gbar-stau", moved_point, slc) != Ad(
             g, moment_eval("gbar-stau", point, slc)
         ):
-            return CheckResult("moment-equivariance", "fail", {"map": "rho_bar_tau", "i": i})
-    return CheckResult("moment-equivariance", "pass")
+            return {"map": "rho_bar_tau", "i": i}
 
 
-def check_omega_bivector_roundtrip(config: Config, algebras) -> CheckResult:
-    count = max(20, config.samples)
+@check("poisson")
+def check_omega_bivector_roundtrip(config, algebras):
     for n in (2, 3):
         alg = algebras[n]
         ident = GroupElement.identity(alg)
-        for i in range(count):
-            x = sample_element(alg, config.seed + 71, 5 * i)
-            a = sample_element(alg, config.seed + 71, 5 * i + 1)
-            b = sample_element(alg, config.seed + 71, 5 * i + 2)
-            v = sample_element(alg, config.seed + 71, 5 * i + 3)
-            w = sample_element(alg, config.seed + 71, 5 * i + 4)
+        for i in _samples(config, 20):
+            x, a, b, v, w = _elements(alg, config.seed + 71, i, 5)
             py, pz = cotangent_bivector_identity(
                 x, killing_covector(a), killing_covector(b)
             )
             lhs = cotangent_form(CotangentPoint(ident, x), (py, pz), (v, w))
             if lhs != killing(a, v) + killing(b, w):
-                return CheckResult(
-                    "omega-bivector-roundtrip", "fail", {"n": n, "x": x, "a": a, "b": b}
-                )
-    return CheckResult("omega-bivector-roundtrip", "pass")
+                return {"n": n, "x": x, "a": a, "b": b}
 
 
-def check_moment_condition_lie_poisson(config: Config, algebras) -> CheckResult:
-    count = max(20, config.samples)
+@check("poisson")
+def check_moment_condition_lie_poisson(config, algebras):
     alg = algebras[config.n]
-    for i in range(count):
-        y = sample_element(alg, config.seed + 73, 2 * i)
-        b = sample_element(alg, config.seed + 73, 2 * i + 1)
+    for i in _samples(config, 20):
+        y, b = _elements(alg, config.seed + 73, i, 2)
         ok, witness = check_moment_condition("lie-poisson", y, b)
         if not ok:
-            return CheckResult("moment-condition-lie-poisson", "fail", witness)
-    return CheckResult("moment-condition-lie-poisson", "pass")
+            return witness
 
 
-def check_moment_condition_tstarg_right(config: Config, algebras) -> CheckResult:
-    count = max(20, config.samples)
+@check("poisson")
+def check_moment_condition_tstarg_right(config, algebras):
     alg = algebras[config.n]
     ident = GroupElement.identity(alg)
-    for i in range(count):
-        x = sample_element(alg, config.seed + 79, 2 * i)
-        b = sample_element(alg, config.seed + 79, 2 * i + 1)
+    for i in _samples(config, 20):
+        x, b = _elements(alg, config.seed + 79, i, 2)
         ok, witness = check_moment_condition("tstarg-right", CotangentPoint(ident, x), b)
         if not ok:
-            return CheckResult("moment-condition-tstarg-right", "fail", witness)
-    return CheckResult("moment-condition-tstarg-right", "pass")
+            return witness
 
 
 # --- wonderful checks -----------------------------------------------------
 
 
+def _upper_curve(alg, a, c=0):
+    """The group curve [[t^a, c], [0, 1]] in PGL_2."""
+    rows = [
+        [LaurentPoly.t_power(a), LaurentPoly.const(c)],
+        [LaurentPoly.zero(), LaurentPoly.const(1)],
+    ]
+    return CurveSubspace.from_group_curve(alg, Mat(rows))
+
+
 def _sample_curves(alg, seed, count):
     """Deterministic one-parameter curves in PGL_2: torus curves twisted by
-    a constant upper-triangular factor."""
+    a constant upper- or lower-triangular factor."""
     curves = []
     for i in range(count):
         a = 1 + i % 3
         c = sample_rational(seed, i)
-        rows = [
-            [LaurentPoly.t_power(a), LaurentPoly.const(c)],
-            [LaurentPoly.zero(), LaurentPoly.const(1)],
-        ]
         if i % 2:
             rows = [
                 [LaurentPoly.t_power(a), LaurentPoly.zero()],
                 [LaurentPoly.const(c), LaurentPoly.t_power(-(i % 5))],
             ]
-        curves.append(CurveSubspace.from_group_curve(alg, Mat(rows)))
+            curves.append(CurveSubspace.from_group_curve(alg, Mat(rows)))
+        else:
+            curves.append(_upper_curve(alg, a, c))
     return curves
 
 
-def check_graph_injectivity(config: Config, algebras) -> CheckResult:
-    count = max(20, config.samples)
+@check("wonderful")
+def check_graph_injectivity(config, algebras):
     alg = algebras[2]
     seen = {}
-    for i in range(count):
+    for i in _samples(config, 20):
         g = sample_group_element(alg, config.seed + 83, i)
         gamma = graph_subspace(g)
         if gamma.plucker in seen and seen[gamma.plucker] != g:
-            return CheckResult("graph-injectivity", "fail", {"g": g.matrix})
+            return {"g": g.matrix}
         seen[gamma.plucker] = g
-    return CheckResult("graph-injectivity", "pass")
 
 
-def check_limit_reparametrization(config: Config, algebras) -> CheckResult:
-    alg = algebras[2]
-    for i, curve in enumerate(_sample_curves(alg, config.seed + 89, 10)):
+@check("wonderful")
+def check_limit_reparametrization(config, algebras):
+    for i, curve in enumerate(_sample_curves(algebras[2], config.seed + 89, 10)):
         base = limit(curve)
         if limit(curve.substitute_power(2)) != base:
-            return CheckResult("limit-reparametrization", "fail", {"curve": i, "power": 2})
+            return {"curve": i, "power": 2}
         units = [
             LaurentPoly.t_power(1, 2),
             LaurentPoly.const(3),
             LaurentPoly.t_power(-1),
         ]
         if limit(curve.scale_rows(units)) != base:
-            return CheckResult("limit-reparametrization", "fail", {"curve": i, "units": True})
-    return CheckResult("limit-reparametrization", "pass")
+            return {"curve": i, "units": True}
 
 
-def check_limit_chi_compatibility(config: Config, algebras) -> CheckResult:
+@check("wonderful")
+def check_limit_chi_compatibility(config, algebras):
     count = max(20, config.samples)
-    alg = algebras[2]
-    for i, curve in enumerate(_sample_curves(alg, config.seed + 97, 20)):
-        gamma = limit(curve)
-        ok, witness = chi_compatible(gamma, count, config.seed + 97 + i)
+    for i, curve in enumerate(_sample_curves(algebras[2], config.seed + 97, 20)):
+        ok, witness = chi_compatible(limit(curve), count, config.seed + 97 + i)
         if not ok:
-            return CheckResult("limit-chi-compatibility", "fail", {"curve": i, **witness})
-    return CheckResult("limit-chi-compatibility", "pass")
+            return {"curve": i, **witness}
 
 
-def check_pgl2_model_vs_limit(config: Config, algebras) -> CheckResult:
+@check("wonderful")
+def check_pgl2_model_vs_limit(config, algebras):
     alg = algebras[2]
     for i in range(10):
-        a = 1 + i % 3
         c = sample_rational(config.seed + 101, i)
-        rows = [
-            [LaurentPoly.t_power(a), LaurentPoly.const(c)],
-            [LaurentPoly.zero(), LaurentPoly.const(1)],
-        ]
-        curve = CurveSubspace.from_group_curve(alg, Mat(rows))
+        curve = _upper_curve(alg, 1 + i % 3, c)
         # the projective limit matrix of diag-dominant upper-triangular curves
         limit_matrix = Mat([[Fraction(0), c], [Fraction(0), Fraction(1)]])
-        if c == 0:
-            limit_matrix = Mat([[Fraction(0), Fraction(0)], [Fraction(0), Fraction(1)]])
         if limit(curve) != pgl2_model(alg, limit_matrix):
-            return CheckResult("pgl2-model-vs-limit", "fail", {"curve": i})
-    return CheckResult("pgl2-model-vs-limit", "pass")
+            return {"curve": i}
 
 
-def check_limit_methods_agree(config: Config, algebras) -> CheckResult:
+@check("wonderful")
+def check_limit_methods_agree(config, algebras):
     # both limit algorithms run and are compared inside limit(); reaching
     # the end without an internal error is the assertion
-    alg = algebras[2]
-    for i, curve in enumerate(_sample_curves(alg, config.seed + 103, 10)):
+    for curve in _sample_curves(algebras[2], config.seed + 103, 10):
         limit(curve)
-    return CheckResult("limit-methods-agree", "pass")
 
 
-def check_boundary_criterion(config: Config, algebras) -> CheckResult:
+@check("wonderful")
+def check_boundary_criterion(config, algebras):
     count = max(20, config.samples)
     alg = algebras[2]
-    slc = principal_slice(alg)
     # certified boundary points: chi-matching members but deficient projections
     for i in range(5):
-        a = 1 + i % 2
-        rows = [
-            [LaurentPoly.t_power(a), LaurentPoly.zero()],
-            [LaurentPoly.zero(), LaurentPoly.const(1)],
-        ]
-        gamma = limit(CurveSubspace.from_group_curve(alg, Mat(rows)))
+        gamma = limit(_upper_curve(alg, 1 + i % 2))
         if not gamma.is_boundary():
-            return CheckResult("boundary-criterion", "fail", {"i": i, "reason": "not boundary"})
+            return {"i": i, "reason": "not boundary"}
         ok, witness = chi_compatible(gamma, count, config.seed + 107 + i)
         if not ok:
-            return CheckResult("boundary-criterion", "fail", {"i": i, **witness})
+            return {"i": i, **witness}
         first, second = gamma.projection_ranks()
         if first == alg.dim and second == alg.dim:
-            return CheckResult("boundary-criterion", "fail", {"i": i, "reason": "projections"})
+            return {"i": i, "reason": "projections"}
     g = sample_group_element(alg, config.seed + 107, 0)
     if graph_subspace(g).is_boundary():
-        return CheckResult("boundary-criterion", "fail", {"reason": "graph flagged"})
-    return CheckResult("boundary-criterion", "pass")
+        return {"reason": "graph flagged"}
 
 
 # --- slices checks --------------------------------------------------------
@@ -609,11 +582,18 @@ def _centralizing_element(slc, s):
     raise AssertionError("no invertible centralizing element found")
 
 
-def check_universal_centralizer_agreement(config: Config, algebras) -> CheckResult:
-    count = max(50, config.samples)
+def _tstarg_right_point(slc, seed, i):
+    """The T*G point (g_i, s_i): a sampled group element over a sampled slice point."""
+    g = sample_group_element(slc.algebra, seed, i)
+    s = slc.point([sample_rational(seed, i)])
+    return HamiltonianSpacePoint("tstarg-right", CotangentPoint(g, s))
+
+
+@check("slices")
+def check_universal_centralizer_agreement(config, algebras):
     alg = algebras[2]
     slc = principal_slice(alg)
-    for i in range(count):
+    for i in _samples(config, 50):
         if i % 2 == 0:
             s = slc.point([sample_rational(config.seed + 109, i)])
             g = _centralizing_element(slc, s)
@@ -623,31 +603,27 @@ def check_universal_centralizer_agreement(config: Config, algebras) -> CheckResu
             y = sample_element(alg, config.seed + 109, i)
         p = HamiltonianSpacePoint("tstarg-both", CotangentPoint(g, y))
         if slice_membership(p, slc) != universal_centralizer_contains(g, y, slc):
-            return CheckResult(
-                "universal-centralizer-agreement", "fail", {"g": g.matrix, "y": y}
-            )
-    return CheckResult("universal-centralizer-agreement", "pass")
+            return {"g": g.matrix, "y": y}
 
 
-def check_fibre_projective_dim(config: Config, algebras) -> CheckResult:
-    alg = algebras[2]
-    slc = principal_slice(alg)
+@check("slices")
+def check_fibre_projective_dim(config, algebras):
+    slc = principal_slice(algebras[2])
     params = [Fraction(0), Fraction(1), Fraction(4)] + [
         sample_rational(config.seed + 113, i) for i in range(5)
     ]
     for c in params:
-        fibre = compactified_fibre_pgl2(slc.point([c]), slc)
-        if fibre.projective_dim != 1:
-            return CheckResult("fibre-projective-dim", "fail", {"c": c})
-    return CheckResult("fibre-projective-dim", "pass")
+        if compactified_fibre_pgl2(slc.point([c]), slc).projective_dim != 1:
+            return {"c": c}
 
 
-def check_fibre_open_leaf(config: Config, algebras) -> CheckResult:
+@check("slices")
+def check_fibre_open_leaf(config, algebras):
     alg = algebras[2]
     slc = principal_slice(alg)
     s1 = slc.point([Fraction(1)])
     fibre = compactified_fibre_pgl2(s1, slc)
-    for i in range(max(10, config.samples)):
+    for i in _samples(config, 10):
         a = sample_rational(config.seed + 127, 2 * i)
         b = sample_rational(config.seed + 127, 2 * i + 1)
         member = fibre.member((a, b))
@@ -656,97 +632,70 @@ def check_fibre_open_leaf(config: Config, algebras) -> CheckResult:
         gamma = pgl2_model(alg, member)
         if member.det() != 0:
             g = GroupElement(alg, member)
-            if not universal_centralizer_contains(g, s1, slc):
-                return CheckResult("fibre-open-leaf", "fail", {"member": member})
-            if gamma.is_boundary():
-                return CheckResult("fibre-open-leaf", "fail", {"member": member})
-        else:
-            if not gamma.is_boundary():
-                return CheckResult("fibre-open-leaf", "fail", {"member": member})
+            if not universal_centralizer_contains(g, s1, slc) or gamma.is_boundary():
+                return {"member": member}
+        elif not gamma.is_boundary():
+            return {"member": member}
     boundary = fibre.boundary_members()
     expected = {
         pgl2_model(alg, Mat.identity(2) + s1.matrix()),
         pgl2_model(alg, Mat.identity(2) - s1.matrix()),
     }
     if {pgl2_model(alg, m) for m in boundary} != expected:
-        return CheckResult("fibre-open-leaf", "fail", {"reason": "boundary classes"})
-    return CheckResult("fibre-open-leaf", "pass")
+        return {"reason": "boundary classes"}
 
 
-def check_ktau_free_locus(config: Config, algebras) -> CheckResult:
-    count = max(20, config.samples)
-    alg = algebras[2]
-    slc = principal_slice(alg)
-    for i in range(count):
-        g = sample_group_element(alg, config.seed + 131, i)
-        s = slc.point([sample_rational(config.seed + 131, i)])
-        x = HamiltonianSpacePoint("tstarg-right", CotangentPoint(g, s))
-        cls = k_tau(x, slc)
+@check("slices")
+def check_ktau_free_locus(config, algebras):
+    slc = principal_slice(algebras[2])
+    for i in _samples(config, 20):
+        cls = k_tau(_tstarg_right_point(slc, config.seed + 131, i), slc)
         if stabilizer_infinitesimal(cls.second, cls.x):
-            return CheckResult("ktau-free-locus", "fail", {"i": i})
-    return CheckResult("ktau-free-locus", "pass")
+            return {"i": i}
 
 
-def check_psi_zero_moment(config: Config, algebras) -> CheckResult:
-    count = max(20, config.samples)
+@check("slices")
+def check_psi_zero_moment(config, algebras):
     alg = algebras[2]
     slc = principal_slice(alg)
-    for i in range(count):
-        g = sample_group_element(alg, config.seed + 137, i)
-        s = slc.point([sample_rational(config.seed + 137, i)])
-        x = HamiltonianSpacePoint("tstarg-right", CotangentPoint(g, s))
+    ident = GroupElement.identity(alg)
+    for i in _samples(config, 20):
+        x = _tstarg_right_point(slc, config.seed + 137, i)
         cls = psi_tau(x, slc)  # constructor enforces the zero-moment condition
-        ident = GroupElement.identity(alg)
         if cls.second[0] != ident or x.nu() != Ad(cls.second[0], cls.second[1]):
-            return CheckResult("psi-zero-moment", "fail", {"i": i})
-    return CheckResult("psi-zero-moment", "pass")
+            return {"i": i}
 
 
-def check_diagram_commutes(config: Config, algebras) -> CheckResult:
-    count = max(20, config.samples)
+@check("slices")
+def check_diagram_commutes(config, algebras):
     alg = algebras[2]
     slc = principal_slice(alg)
-    for i in range(count):
+    for i in _samples(config, 20):
         probe = sample_group_element(alg, config.seed + 139, 2 * i + 1)
         g = sample_group_element(alg, config.seed + 139, 2 * i)
         s = slc.point([sample_rational(config.seed + 139, i)])
         x = HamiltonianSpacePoint("tstarg-right", CotangentPoint(g, s))
         ok, witness = pi_maps_commute(x, slc, probe)
         if not ok:
-            return CheckResult("diagram-commutes", "fail", {"X": "tstarg-right", **witness})
-        gc = _centralizing_element(slc, s)
-        y = HamiltonianSpacePoint("g-stau", (gc, s), slc)
+            return {"X": "tstarg-right", **witness}
+        y = HamiltonianSpacePoint("g-stau", (_centralizing_element(slc, s), s), slc)
         ok, witness = pi_maps_commute(y, slc, probe)
         if not ok:
-            return CheckResult("diagram-commutes", "fail", {"X": "g-stau", **witness})
-    return CheckResult("diagram-commutes", "pass")
+            return {"X": "g-stau", **witness}
 
 
-def check_stabilizer_group_vs_infinitesimal(config: Config, algebras) -> CheckResult:
+@check("slices")
+def check_stabilizer_group_vs_infinitesimal(config, algebras):
     alg = algebras[2]
     slc = principal_slice(alg)
     cases = []
     for i in range(5):
-        g = sample_group_element(alg, config.seed + 149, i)
-        s = slc.point([sample_rational(config.seed + 149, i)])
-        x = HamiltonianSpacePoint("tstarg-right", CotangentPoint(g, s))
-        cls = k_tau(x, slc)
+        cls = k_tau(_tstarg_right_point(slc, config.seed + 149, i), slc)
         cases.append((cls.second, cls.x))
-    boundary = limit(
-        CurveSubspace.from_group_curve(
-            alg,
-            Mat(
-                [
-                    [LaurentPoly.t_power(1), LaurentPoly.zero()],
-                    [LaurentPoly.zero(), LaurentPoly.const(1)],
-                ]
-            ),
-        )
-    )
+    boundary = limit(_upper_curve(alg, 1))
     cases.append((LogCotangentPoint(boundary, (alg.zero(), alg.named("e"))), None))
-    diag = diagonal_subspace(alg)
     h = alg.named("h")
-    cases.append((LogCotangentPoint(diag, (h, h)), None))
+    cases.append((LogCotangentPoint(diagonal_subspace(alg), (h, h)), None))
     for i in range(3):
         g = sample_group_element(alg, config.seed + 151, i)
         y = sample_element(alg, config.seed + 151, i)
@@ -755,27 +704,18 @@ def check_stabilizer_group_vs_infinitesimal(config: Config, algebras) -> CheckRe
         inf = stabilizer_infinitesimal(second, x)
         grp = group_stabilizer_pgl2(second, x)
         if len(inf) != len(grp):
-            return CheckResult(
-                "stabilizer-group-vs-infinitesimal",
-                "fail",
-                {"case": idx, "infinitesimal": len(inf), "group": len(grp)},
-            )
+            return {"case": idx, "infinitesimal": len(inf), "group": len(grp)}
         if inf:
             rows = [b.coords for b in inf] + [b.coords for b in grp]
             if Mat(rows).rank() != len(inf):
-                return CheckResult(
-                    "stabilizer-group-vs-infinitesimal", "fail", {"case": idx}
-                )
-    return CheckResult("stabilizer-group-vs-infinitesimal", "pass")
+                return {"case": idx}
 
 
-def check_normalize_orbit_invariance(config: Config, algebras) -> CheckResult:
+@check("slices")
+def check_normalize_orbit_invariance(config, algebras):
     alg = algebras[2]
     slc = principal_slice(alg)
-    g0 = sample_group_element(alg, config.seed + 157, 0)
-    s = slc.point([sample_rational(config.seed + 157, 0)])
-    x = HamiltonianSpacePoint("tstarg-right", CotangentPoint(g0, s))
-    cls = k_tau(x, slc)
+    cls = k_tau(_tstarg_right_point(slc, config.seed + 157, 0), slc)
     reference = normalize_class(cls)
     for i in range(10):
         g = sample_group_element(alg, config.seed + 157, i + 1)
@@ -786,54 +726,7 @@ def check_normalize_orbit_invariance(config: Config, algebras) -> CheckResult:
             and renorm.second.pair == reference.second.pair
         )
         if not same:
-            return CheckResult("normalize-orbit-invariance", "fail", {"i": i})
-    return CheckResult("normalize-orbit-invariance", "pass")
-
-
-SUITES = {
-    "liecore": (
-        check_jacobi_identity,
-        check_killing_invariance,
-        check_ad_invariance,
-        check_killing_trace_identity,
-        check_chi_invariance,
-    ),
-    "slodowy": (
-        check_slice_structure,
-        check_conjugation_roundtrip,
-        check_conjugation_chi,
-        check_chi_section_idempotent,
-        check_principality_detection,
-    ),
-    "poisson": (
-        check_lie_poisson_jacobi,
-        check_product_convention,
-        check_transversal_decomposition,
-        check_orbit_transversality,
-        check_moment_equivariance,
-        check_omega_bivector_roundtrip,
-        check_moment_condition_lie_poisson,
-        check_moment_condition_tstarg_right,
-    ),
-    "wonderful": (
-        check_graph_injectivity,
-        check_limit_reparametrization,
-        check_limit_chi_compatibility,
-        check_pgl2_model_vs_limit,
-        check_limit_methods_agree,
-        check_boundary_criterion,
-    ),
-    "slices": (
-        check_universal_centralizer_agreement,
-        check_fibre_projective_dim,
-        check_fibre_open_leaf,
-        check_ktau_free_locus,
-        check_psi_zero_moment,
-        check_diagram_commutes,
-        check_stabilizer_group_vs_infinitesimal,
-        check_normalize_orbit_invariance,
-    ),
-}
+            return {"i": i}
 
 
 def suite_names():
@@ -853,16 +746,11 @@ def run_suite(name: str, config: Config, algebras=None) -> SuiteReport:
     algebras = _algebras(algebras)
     report = SuiteReport(name, config)
     selected = SUITES[name] if name != "all" else [c for s in SUITES.values() for c in s]
-    for check in selected:
+    for fn in selected:
         try:
-            result = check(config, algebras)
+            result = fn(config, algebras)
         except Exception as exc:
             witness = {"type": type(exc).__name__, "message": str(exc)}
-            result = CheckResult(check_name(check), "error", witness)
+            result = CheckResult(check_name(fn), "error", witness)
         report.checks.append(result)
     return report
-
-
-def check_name(check) -> str:
-    """Report name of a check function: check_foo_bar reports as foo-bar."""
-    return check.__name__[len("check_"):].replace("_", "-")

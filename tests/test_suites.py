@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from slicelab import cli, poissongeom
+from slicelab import cli, poissongeom, suites
+from slicelab.exactnum import Mat
 from slicelab.liecore import LieAlgebra, lie_algebra
 from slicelab.suites import SUITES, Config, ConfigError, check_name, run_suite, suite_names
 
@@ -133,3 +134,51 @@ def test_report_names_follow_check_function_names():
     report = run_suite("all", Config(samples=2))
     expected = [check_name(fn) for checks in SUITES.values() for fn in checks]
     assert [c.name for c in report.checks] == expected
+
+
+class TestPlantedSuiteFaults:
+    """One planted fault per suite that had none: each turns a check red with its witness."""
+
+    def failing(self, suite, name):
+        check = check_named(run_suite(suite, Config(samples=2)), name)
+        assert check.status == "fail"
+        return suites._jsonable(check.witness)
+
+    def test_perturbed_chi_section(self, monkeypatch):
+        real = suites.chi_section
+        monkeypatch.setattr(suites, "chi_section", lambda slc, x: real(slc, x) + slc.directions[0])
+        witness = self.failing("slodowy", "chi-section-idempotent")
+        assert witness == {"n": 2, "x": ["2", "1/2", "-7/3"]}
+
+    def test_wrong_pgl2_model_row(self, monkeypatch):
+        real = suites.pgl2_model
+
+        def wrong(alg, a):
+            (p, q), (r, s) = a.rows
+            return real(alg, Mat([[p, q], [r + 1, s]]))
+
+        monkeypatch.setattr(suites, "pgl2_model", wrong)
+        assert self.failing("wonderful", "pgl2-model-vs-limit") == {"curve": 0}
+
+    def test_negated_universal_centralizer(self, monkeypatch):
+        real = suites.universal_centralizer_contains
+        monkeypatch.setattr(
+            suites, "universal_centralizer_contains", lambda g, y, slc: not real(g, y, slc)
+        )
+        witness = self.failing("slices", "universal-centralizer-agreement")
+        assert witness == {"g": [["1", "0"], ["0", "1"]], "y": ["1", "0", "-7/3"]}
+
+
+ALGEBRAS = {2: lie_algebra(2), 3: lie_algebra(3)}
+
+
+@pytest.mark.parametrize(
+    "fn", [fn for checks in SUITES.values() for fn in checks], ids=check_name
+)
+def test_checks_are_module_attributes_called_directly(fn):
+    """The benchmark reaches each check as ``suites.check_*`` and calls it alone."""
+    assert fn.__name__.startswith("check_")
+    assert getattr(suites, fn.__name__) is fn
+    result = fn(Config(samples=2), ALGEBRAS)
+    assert isinstance(result, suites.CheckResult)
+    assert (result.name, result.status) == (check_name(fn), "pass")
