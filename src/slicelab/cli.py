@@ -333,7 +333,14 @@ def main(argv=None) -> int:
         "slice-project": cmd_slice_project,
     }
     try:
-        return handlers[args.command](args)
+        status = handlers[args.command](args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # The reader closed the pipe (``slicelab ... | head``): not a user
+        # error.  Point stdout at devnull so the flush at exit cannot raise.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (
         CliError,
         ConfigError,

@@ -542,12 +542,19 @@ def _all_fractions(rows) -> bool:
     return all(type(a) is Fraction for r in rows for a in r)
 
 
+def integer_coords(values):
+    """Rationals (Fraction or int) as (ints, d): d is the lcm of their
+    denominators and values[k] == ints[k] / d."""
+    d = lcm(*(a.denominator for a in values))
+    return [a.numerator * (d // a.denominator) for a in values], d
+
+
 def _integer_rows(rows):
     """Each row times the lcm of its entries' denominators: (integer rows, the lcms)."""
     out, scales = [], []
     for r in rows:
-        scale = lcm(*(a.denominator for a in r))
-        out.append([a.numerator * (scale // a.denominator) for a in r])
+        ints, scale = integer_coords(r)
+        out.append(ints)
         scales.append(scale)
     return out, scales
 
@@ -578,19 +585,26 @@ def span_contains(rows, vector) -> bool:
 def charpoly(m: Mat):
     """Coefficients (c1, ..., cn) of det(lambda*I - M) = lambda^n + c1*lambda^(n-1) + ... + cn.
 
-    Faddeev-LeVerrier recursion; exact over the rationals.
+    Faddeev-LeVerrier recursion on the integer matrix dM, d the lcm of all
+    denominators: every step stays in the integers, the division by k is
+    exact there, and c_k(M) = c_k(dM) / d^k.
     """
     n = m.nrows
     if n != m.ncols:
         raise ValueError("characteristic polynomial of non-square matrix")
+    flat, d = integer_coords([a for r in m.rows for a in r])
+    a = [flat[i * n:(i + 1) * n] for i in range(n)]
     coeffs = []
-    mk = m
-    ident = Mat.identity(n)
+    mk = a
     for k in range(1, n + 1):
-        ck = -mk.trace() / k
-        coeffs.append(ck)
+        ck, rem = divmod(-sum(mk[i][i] for i in range(n)), k)
+        if rem:
+            raise ArithmeticError("inexact Faddeev-LeVerrier step on an integer matrix")
+        coeffs.append(Fraction(ck, d**k))
         if k < n:
-            mk = m @ (mk + ident.scale(ck))
+            # M_(k+1) = A (M_k + c_k I), one entry at a time
+            cols = list(zip(*mk))
+            mk = [[sum(map(mul, row, col)) + ck * x for col, x in zip(cols, row)] for row in a]
     return tuple(coeffs)
 
 
@@ -746,14 +760,3 @@ def laurent_rank(rows, ncols: int) -> int:
         if r == nr:
             break
     return rank
-
-
-def dual_mat_inverse(value: Mat, derivative: Mat):
-    """Inverse of (A + eps*B) as the pair (A^-1, -A^-1 B A^-1)."""
-    a_inv = value.inverse()
-    return a_inv, -(a_inv @ derivative @ a_inv)
-
-
-def join_dual_matrix(value: Mat, derivative: Mat) -> Mat:
-    return Mat([[Dual(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(value.rows, derivative.rows)])

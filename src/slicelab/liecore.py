@@ -6,8 +6,13 @@ Conventions
   Cartan generators H_i = E_ii - E_(i+1)(i+1), then lower root vectors
   E_ij (i > j, lexicographic).  For sl2 this is (e, h, f) and coordinates
   are written (c_e, c_h, c_f).
-* The Killing form is computed from its definition tr(ad_x ad_y) on the
-  cached bracket table; the 2n*tr(xy) identity is a test oracle only.
+* The structure constants of sl_n in this basis are integers, and the
+  bracket table holds them as ints: ``_bracket_table[i][j]`` is the dense
+  coordinate tuple of [b_i, b_j].  ``bracket_coords`` scales both rational
+  coordinate tuples to integers once, accumulates in ints and divides once;
+  the Killing form runs the same way on an integer copy of its Gram matrix.
+* The Killing Gram is computed from its definition tr(ad_x ad_y) on the
+  integer bracket table; the 2n*tr(xy) identity is a test oracle only.
 * Group elements are projective: two representatives are equal iff
   proportional, and the stored representative has its first nonzero entry
   (row-major) scaled to 1.
@@ -20,7 +25,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .exactnum import Mat, RationalStream, charpoly, sample_rational
+from .exactnum import Mat, RationalStream, charpoly, integer_coords, sample_rational
+
+_ZERO = Fraction(0)
 
 
 class LieAlgebraError(ValueError):
@@ -57,9 +64,14 @@ class LieAlgebra:
             else:
                 names.append(f"H{data + 1}")
         self.basis_names = tuple(names)
+        self._roots = tuple(
+            (k, data) for k, (kind, data) in enumerate(self._layout) if kind == "E"
+        )
+        self._cartan_start = n * (n - 1) // 2
         self.basis = tuple(self._basis_matrix(k) for k in range(self.dim))
         self._bracket_table = self._build_bracket_table()
-        self.killing_gram = self._build_killing_gram()
+        self._gram_ints = self._build_killing_gram()
+        self.killing_gram = Mat([[Fraction(a) for a in r] for r in self._gram_ints])
         self._gram_inverse = self.killing_gram.inverse()
 
     def _basis_matrix(self, k: int) -> Mat:
@@ -91,17 +103,17 @@ class LieAlgebra:
         return tuple(coords)
 
     def matrix_from_coords(self, coords) -> Mat:
+        """The trace-zero matrix: E_ij coordinates in place, diagonal entry i
+        equal to h_i - h_(i-1) (h_0 first, -h_(n-2) last)."""
         n = self.n
-        rows = [[0 * coords[0] for _ in range(n)] for _ in range(n)]
-        for k, c in enumerate(coords):
-            kind, data = self._layout[k]
-            if kind == "E":
-                i, j = data
-                rows[i][j] = rows[i][j] + c
-            else:
-                i = data
-                rows[i][i] = rows[i][i] + c
-                rows[i + 1][i + 1] = rows[i + 1][i + 1] - c
+        rows = [[_ZERO] * n for _ in range(n)]
+        for k, (i, j) in self._roots:
+            rows[i][j] = coords[k]
+        h = coords[self._cartan_start:self._cartan_start + n - 1]
+        rows[0][0] = h[0]
+        for i in range(1, n - 1):
+            rows[i][i] = h[i] - h[i - 1]
+        rows[n - 1][n - 1] = -h[n - 2]
         return Mat(rows)
 
     def _build_bracket_table(self):
@@ -111,27 +123,33 @@ class LieAlgebra:
             bi = self.basis[i]
             for j in range(self.dim):
                 bj = self.basis[j]
-                row.append(self.coords_from_matrix(bi @ bj - bj @ bi))
+                coords = self.coords_from_matrix(bi @ bj - bj @ bi)
+                if any(c.denominator != 1 for c in coords):
+                    raise LieAlgebraError("structure constant is not an integer")
+                row.append(tuple(c.numerator for c in coords))
             table.append(tuple(row))
         return tuple(table)
 
     def bracket_coords(self, x, y):
-        """Bracket in coordinates via the cached structure constants."""
-        dim = self.dim
-        out = [Fraction(0)] * dim
-        for i, xi in enumerate(x):
-            if not xi:
+        """Bracket of two rational coordinate tuples via the integer structure
+        constants: x and y are scaled to integers by the lcm of their
+        denominators, the sum runs in ints over the nonzero entries, and each
+        output coordinate is divided once by the two scales."""
+        xs, dx = integer_coords(x)
+        ys, dy = integer_coords(y)
+        acc = [0] * self.dim
+        nonzero_y = [(j, b) for j, b in enumerate(ys) if b]
+        for i, a in enumerate(xs):
+            if not a:
                 continue
             row = self._bracket_table[i]
-            for j, yj in enumerate(y):
-                if not yj:
-                    continue
-                struct = row[j]
-                c = xi * yj
-                for k, s in enumerate(struct):
+            for j, b in nonzero_y:
+                c = a * b
+                for k, s in enumerate(row[j]):
                     if s:
-                        out[k] = out[k] + c * s
-        return tuple(out)
+                        acc[k] += c * s
+        d = dx * dy
+        return tuple(Fraction(v, d) if v else _ZERO for v in acc)
 
     def ad_matrix(self, x: "Element") -> Mat:
         """Matrix of ad_x = [x, .] in basis coordinates (columns are [x, b_j])."""
@@ -141,18 +159,16 @@ class LieAlgebra:
     def _unit(self, j: int):
         return tuple(Fraction(1) if k == j else Fraction(0) for k in range(self.dim))
 
-    def _build_killing_gram(self) -> Mat:
+    def _build_killing_gram(self):
+        # Column l of ad_i is [b_i, b_l], the table entry (i, l).
         # tr(ad_i ad_j) = sum over k, l of ad_i[k][l] * ad_j[l][k]: pair the
         # row-major entries of ad_i with the column-major entries of ad_j.
-        ads = [self.ad_matrix(Element(self, self._unit(i))) for i in range(self.dim)]
-        by_rows = [[a for r in ad.rows for a in r] for ad in ads]
-        by_cols = [[a for c in zip(*ad.rows) for a in c] for ad in ads]
-        zero = Fraction(0)
-        g = Mat([
-            [sum((a * b for a, b in zip(ri, cj) if a and b), zero) for cj in by_cols]
-            for ri in by_rows
-        ])
-        if g.transpose() != g:
+        by_rows = [[a for r in zip(*cols) for a in r] for cols in self._bracket_table]
+        by_cols = [[a for c in cols for a in c] for cols in self._bracket_table]
+        g = tuple(
+            tuple(sum(a * b for a, b in zip(ri, cj) if a) for cj in by_cols) for ri in by_rows
+        )
+        if tuple(zip(*g)) != g:
             raise LieAlgebraError("Killing Gram matrix is not symmetric")
         return g
 
@@ -252,9 +268,24 @@ def bracket(x: Element, y: Element) -> Element:
 
 
 def killing(x: Element, y: Element):
-    """Killing form <x, y> = tr(ad_x ad_y), evaluated through the cached Gram matrix."""
+    """Killing form <x, y> = tr(ad_x ad_y), evaluated through the cached Gram matrix.
+
+    Rational coordinates (Fraction or int) are scaled to integers and paired
+    through the integer Gram copy, with one division at the end; other
+    scalars (the Dual coordinates of the moment conditions) take the
+    entrywise loop.
+    """
     x._check(y)
-    gram = x.algebra.killing_gram
+    alg = x.algebra
+    if _is_rational(x.coords) and _is_rational(y.coords):
+        xs, dx = integer_coords(x.coords)
+        ys, dy = integer_coords(y.coords)
+        total = 0
+        for a, row in zip(xs, alg._gram_ints):
+            if a:
+                total += a * sum(g * b for g, b in zip(row, ys) if b)
+        return Fraction(total, dx * dy)
+    gram = alg.killing_gram
     acc = None
     for i, xi in enumerate(x.coords):
         if not xi:
@@ -266,6 +297,10 @@ def killing(x: Element, y: Element):
             term = xi * row[j] * yj
             acc = term if acc is None else acc + term
     return acc if acc is not None else Fraction(0)
+
+
+def _is_rational(coords) -> bool:
+    return all(type(c) is Fraction or type(c) is int for c in coords)
 
 
 def killing_covector(x: Element):

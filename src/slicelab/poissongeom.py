@@ -8,7 +8,8 @@ Conventions, fixed once for the whole package:
   P_y(alpha) = [y, kappa(alpha)], reproducing {f1, f2}(y) = <y, [df1, df2]>.
 * Hamiltonian vector fields are H_f = -P(df), and fundamental vector
   fields are d/d eps of the exp(eps*b)-action, both computed with dual
-  numbers (never by hand formulas).
+  numbers.  On the fibre, the first-order jet of Ad_exp(eps*b) x is
+  x + eps*[b, x], carried as Dual coordinates.
 * Covectors on g + g pair with a sign flip on the second summand,
   (x1, x2) -> (<x1, .>, -<x2, .>).  Moment values of right-factor actions
   (rho_R, and the adjoint action on g with its Lie-Poisson structure)
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .exactnum import Dual, Mat, dual_mat_inverse, join_dual_matrix, span_contains
+from .exactnum import Dual, Mat, span_contains
 from .liecore import (
     Ad,
     Element,
@@ -165,13 +166,9 @@ def product_moment_logd(nu_value: Element, p: LogCotangentPoint) -> MomentValue:
 # --- dual-number differentiation of actions ------------------------------
 
 
-def _dual_ad(g_value: Mat, g_derivative: Mat, x: Element) -> Element:
-    """Ad of the dual group curve g_value + eps*g_derivative on x (dual coords out)."""
-    g = join_dual_matrix(g_value, g_derivative)
-    inv_v, inv_d = dual_mat_inverse(g_value, g_derivative)
-    ginv = join_dual_matrix(inv_v, inv_d)
-    xm = x.matrix().map(Dual.lift)
-    return x.algebra.element_from_matrix(g @ xm @ ginv)
+def _dual_ad(b: Element, x: Element) -> Element:
+    """Ad of the dual group curve 1 + eps*b on x: x + eps*[b, x], in Dual coordinates."""
+    return Element(x.algebra, tuple(map(Dual, x.coords, bracket(b, x).coords)))
 
 
 def _eps_coords(x: Element):
@@ -188,31 +185,24 @@ def _dual_directions(y: Element):
 
 
 def _adjoint_field(y: Element, b: Element):
-    return _eps_coords(_dual_ad(Mat.identity(b.algebra.n), b.matrix(), y))
+    return bracket(b, y).coords
 
 
 def _right_field(p: CotangentPoint, b: Element):
     # exp(eps b) . (g, x) = (g exp(-eps b), Ad_exp(eps b) x)
-    bm = b.matrix()
-    g0 = p.g.matrix
-    fibre = _dual_ad(Mat.identity(b.algebra.n), bm, p.x)
-    return _cotangent_velocity(g0, -(g0 @ bm), fibre)
+    return _cotangent_velocity(p.g, -(p.g.matrix @ b.matrix()), _dual_ad(b, p.x))
 
 
 def _left_field(p: CotangentPoint, b: Element):
     # exp(eps b) . (g, x) = (exp(eps b) g, x)
-    g0 = p.g.matrix
-    return _cotangent_velocity(g0, b.matrix() @ g0, p.x)
+    return _cotangent_velocity(p.g, b.matrix() @ p.g.matrix, p.x)
 
 
-def _cotangent_velocity(g0: Mat, g_derivative: Mat, fibre: Element):
+def _cotangent_velocity(g0: GroupElement, g_derivative: Mat, fibre: Element):
     """Left-trivialized velocity of the curve (g0 + eps*g_derivative, fibre):
     the eps-part of g0^-1 g(eps), then the eps-part of the fibre."""
-    g0_inv = g0.inverse()
-    if g0_inv @ g0 != Mat.identity(g0.nrows):
-        raise AssertionError("group curve does not start at the base point")
     alg = fibre.algebra
-    return tuple(alg.coords_from_matrix(g0_inv @ g_derivative)) + _eps_coords(fibre)
+    return alg.coords_from_matrix(g0.inverse_matrix() @ g_derivative) + _eps_coords(fibre)
 
 
 def fundamental_vf(space: str, point, b: Element):
@@ -300,8 +290,7 @@ def _bivector_at_identity(p: CotangentPoint) -> PointedBivector:
 def _left_dual_moments(p: CotangentPoint):
     """Ad_g x along the group directions at (e, x), then the fibre coordinate
     along the fibre directions, where g stays at e."""
-    ident = Mat.identity(p.x.algebra.n)
-    return [_dual_ad(ident, m, p.x) for m in p.x.algebra.basis] + _dual_directions(p.x)
+    return [_dual_ad(b, p.x) for b in p.x.algebra.basis_elements()] + _dual_directions(p.x)
 
 
 SPACES = {

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -172,6 +173,33 @@ class TestLimitCommand:
         assert res.returncode == 0, res.stderr
         lines = [ln for ln in res.stdout.splitlines() if "plucker" in ln]
         assert lines == [f"  plucker ({len(nonzero)} nonzero of 12870): " + " ".join(nonzero)]
+
+
+class TestClosedPipe:
+    """A reader that closes the pipe early (``slicelab ... | head``) is not a user error."""
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            # the sl3 Pluecker vector outgrows the stdout buffer: print raises
+            ["limit", "--algebra", "a2", "--curve", "diag(t,1,1)", "--json"],
+            # buffered, the sl2 output is written only when stdout is flushed
+            ["limit", "--curve", "diag(t,1)", "--json"],
+        ],
+        ids=["large", "small"],
+    )
+    def test_exit_1_with_empty_stderr(self, args, unbuffered):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = unbuffered
+        cmd = [sys.executable, "-m", "slicelab.cli", *args]
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait() == 1
+        assert stderr == b""
 
 
 class TestMalformedRationals:

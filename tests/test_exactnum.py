@@ -9,12 +9,14 @@ from slicelab.exactnum import (
     Dual,
     LaurentPoly,
     Mat,
+    charpoly,
     laurent_rank,
     lowest_minor_coefficients,
     maximal_minors,
     sample_rational,
     span_contains,
 )
+from slicelab.liecore import lie_algebra, sample_element
 
 
 def frac_mat(rows):
@@ -475,6 +477,42 @@ def test_inverse_and_det_against_fraction_oracles(kind, n):
     aug = [list(r) + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(rows)]
     reduced, _, _ = gauss_jordan_oracle(aug, 2 * n)
     assert m.inverse() == Mat([r[n:] for r in reduced])
+
+
+def charpoly_oracle(m):
+    """The Fraction form of charpoly: Faddeev-LeVerrier on Mat entries."""
+    n = m.nrows
+    coeffs, mk, ident = [], m, Mat.identity(n)
+    for k in range(1, n + 1):
+        ck = -mk.trace() / k
+        coeffs.append(ck)
+        if k < n:
+            mk = m @ (mk + ident.scale(ck))
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8])
+@pytest.mark.parametrize("kind", KINDS)
+def test_charpoly_against_fraction_oracle(kind, n):
+    m = Mat(kernel_case(kind, n, n, 5))
+    got = charpoly(m)
+    assert got == charpoly_oracle(m)
+    assert all(type(c) is Fraction for c in got)
+    for lam in (0, 1, -2):
+        shifted = Mat([[lam * (i == j) - a for j, a in enumerate(r)] for i, r in enumerate(m.rows)])
+        assert shifted.det() == lam**n + sum(c * lam ** (n - k) for k, c in enumerate(got, 1))
+
+
+def test_charpoly_of_sl2_sl3_elements_and_int_entries():
+    for n in (2, 3):
+        alg = lie_algebra(n)
+        for i in range(10):
+            m = sample_element(alg, 61, i).matrix()
+            assert charpoly(m) == charpoly_oracle(m)
+    ints = Mat([[2, -1, 0], [4, 3, 7], [0, 5, -6]])
+    got = charpoly(ints)
+    assert got == charpoly_oracle(ints.map(Fraction))
+    assert all(type(c) is Fraction for c in got)
 
 
 class TestIntegerKernelEdges:

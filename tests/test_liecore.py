@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from slicelab.exactnum import Mat, sample_rational
+from slicelab.exactnum import Dual, Mat, sample_rational
 from slicelab.liecore import (
     Ad,
     GroupElement,
@@ -135,6 +136,113 @@ class TestKilling:
                 x = sample_element(alg, 29, 2 * i)
                 y = sample_element(alg, 29, 2 * i + 1)
                 assert killing(x, y) == 2 * n * (x.matrix() @ y.matrix()).trace()
+
+
+def bracket_coords_oracle(alg, x, y):
+    """The Fraction form of bracket_coords: each structure constant times xi*yj, summed."""
+    out = [Fraction(0)] * alg.dim
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        row = alg._bracket_table[i]
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            c = xi * yj
+            for k, s in enumerate(row[j]):
+                if s:
+                    out[k] = out[k] + c * s
+    return tuple(out)
+
+
+def killing_oracle(x, y):
+    """The Fraction form of killing: the Gram matrix paired entry by entry."""
+    gram = x.algebra.killing_gram
+    acc = None
+    for i, xi in enumerate(x.coords):
+        if not xi:
+            continue
+        for j, yj in enumerate(y.coords):
+            if not yj:
+                continue
+            term = xi * gram.rows[i][j] * yj
+            acc = term if acc is None else acc + term
+    return acc if acc is not None else Fraction(0)
+
+
+COORD_KINDS = ["seeded", "zero", "sparse", "int", "60-bit"]
+
+
+def coordinate_pair(alg, kind, seed):
+    """Two seeded coordinate tuples of one of the COORD_KINDS."""
+    rng = random.Random(f"{kind}-{alg.n}-{seed}")
+    dim = alg.dim
+    x = sample_element(alg, seed, 0).coords
+    y = sample_element(alg, seed, 1).coords
+    if kind == "zero":
+        return x, (Fraction(0),) * dim
+    if kind == "sparse":
+        keep = [rng.random() < 0.4 for _ in range(dim)]
+        return tuple(c if k else Fraction(0) for c, k in zip(x, keep)), y
+    if kind == "int":
+        return tuple(rng.randint(-9, 9) for _ in range(dim)), y
+    if kind == "60-bit":
+        big = 1 << 60
+        return tuple(
+            tuple(Fraction(rng.randint(-big, big), rng.randint(1, big)) for _ in range(dim))
+            for _ in range(2)
+        )
+    return x, y
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", COORD_KINDS)
+@pytest.mark.parametrize("n", [2, 3])
+class TestIntegerLiePathsAgainstFractionOracles:
+    def test_bracket_coords(self, n, kind, seed):
+        alg = lie_algebra(n)
+        x, y = coordinate_pair(alg, kind, seed)
+        for a, b in [(x, y), (y, x)]:
+            got = alg.bracket_coords(a, b)
+            assert got == bracket_coords_oracle(alg, a, b)
+            assert all(type(c) is Fraction for c in got)
+
+    def test_killing(self, n, kind, seed):
+        alg = lie_algebra(n)
+        x, y = (alg.element(c) for c in coordinate_pair(alg, kind, seed))
+        for a, b in [(x, y), (y, x), (x, x)]:
+            got = killing(a, b)
+            assert got == killing_oracle(a, b)
+            assert type(got) is Fraction
+
+    def test_killing_on_dual_coordinates(self, n, kind, seed):
+        alg = lie_algebra(n)
+        x, y = coordinate_pair(alg, kind, seed)
+        jet = alg.element(tuple(map(Dual, x, y)))
+        plain = alg.element(y)
+        for a, b in [(jet, plain), (plain, jet), (jet, jet)]:
+            got = killing(a, b)
+            assert got == killing_oracle(a, b)
+            assert isinstance(got, Dual) or got == 0
+
+    def test_matrix_from_coords(self, n, kind, seed):
+        alg = lie_algebra(n)
+        x, _ = coordinate_pair(alg, kind, seed)
+        expected = Mat.zeros(n, n)
+        for c, b in zip(x, alg.basis):
+            expected = expected + b.scale(c)
+        assert alg.matrix_from_coords(x) == expected
+
+
+def test_int_coordinates_give_fractions():
+    sl2 = lie_algebra(2)
+    e, f = sl2.element((1, 0, 0)), sl2.element((0, 0, 1))
+    assert bracket(e, f).coords == (Fraction(0), Fraction(1), Fraction(0))
+    assert all(type(c) is Fraction for c in bracket(e, f).coords)
+    assert killing(e, f) == 4 and type(killing(e, f)) is Fraction
+    # det(lambda - [[2, 1], [3, -2]]) = lambda^2 - 7, exact even on int input
+    coeffs = chi(sl2.element((1, 2, 3))).coeffs
+    assert coeffs == (-7,) and type(coeffs[0]) is Fraction
 
 
 class TestKappa:

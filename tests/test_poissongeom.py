@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from slicelab.exactnum import Mat, sample_rational
+from slicelab.exactnum import Dual, Mat, sample_rational
 from slicelab.liecore import (
     Ad,
     GroupElement,
@@ -18,6 +19,7 @@ from slicelab.poissongeom import (
     MembershipError,
     MomentValue,
     UnsupportedSpaceError,
+    _dual_ad,
     bivector_rank,
     check_moment_condition,
     cotangent_bivector,
@@ -307,6 +309,57 @@ class TestFundamentalField:
         b = sample_element(sl2, 73, 2)
         v = fundamental_vf("tstarg-left", CotangentPoint(g, x), b)
         assert v == tuple(Ad(g.inverse(), b).coords) + tuple(sl2.zero().coords)
+
+
+def dual_ad_oracle(b, x):
+    """The matrix form of the jet: (1 + eps*b) x (1 - eps*b) on Dual entries."""
+    n = x.algebra.n
+    bm = b.matrix()
+
+    def curve(sign):
+        return Mat([[Dual(Fraction(i == j), sign * bm[i, j]) for j in range(n)] for i in range(n)])
+
+    return x.algebra.element_from_matrix(curve(1) @ x.matrix().map(Dual.lift) @ curve(-1))
+
+
+JET_KINDS = ["seeded", "zero-x", "zero-b", "int", "60-bit"]
+
+
+def jet_case(alg, kind, seed):
+    """A seeded direction b and point x of one of the JET_KINDS."""
+    rng = random.Random(f"jet-{kind}-{alg.n}-{seed}")
+    b, x = sample_element(alg, 79 + seed, 0), sample_element(alg, 79 + seed, 1)
+    if kind == "zero-x":
+        x = alg.zero()
+    elif kind == "zero-b":
+        b = alg.zero()
+    elif kind == "int":
+        x = alg.element(tuple(rng.randint(-9, 9) for _ in range(alg.dim)))
+    elif kind == "60-bit":
+        big = 1 << 60
+        b, x = (
+            alg.element(tuple(Fraction(rng.randint(-big, big), rng.randint(1, big))
+                              for _ in range(alg.dim)))
+            for _ in range(2)
+        )
+    return b, x
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("kind", JET_KINDS)
+@pytest.mark.parametrize("n", [2, 3])
+def test_dual_ad_against_matrix_form(n, kind, seed):
+    alg = lie_algebra(n)
+    b, x = jet_case(alg, kind, seed)
+    want = dual_ad_oracle(b, x)
+    got = _dual_ad(b, x)
+    assert [(c.value, c.derivative) for c in got.coords] == [
+        (c.value, c.derivative) for c in want.coords
+    ]
+    velocity = tuple(c.derivative for c in want.coords)
+    assert fundamental_vf("lie-poisson", x, b) == velocity
+    p = CotangentPoint(sample_group_element(alg, 83, seed), x)
+    assert fundamental_vf("tstarg-right", p, b) == tuple((-1 * b).coords) + velocity
 
 
 class TestTransversality:

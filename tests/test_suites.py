@@ -42,24 +42,31 @@ class TestConfig:
             Config(samples=0)
 
 
-class TestRunSuite:
-    def test_every_suite_passes_with_low_samples(self):
-        config = Config(samples=2)
-        for name in suite_names():
-            if name == "all":
-                continue
-            report = run_suite(name, config)
-            assert report.passed, [c for c in report.checks if c.status != "pass"]
+@pytest.fixture(scope="module")
+def all_report():
+    """One run of every check at samples=2, shared by the pass, count and naming tests."""
+    return run_suite("all", Config(samples=2))
 
-    def test_all_concatenates(self):
-        config = Config(samples=2)
-        report = run_suite("all", config)
-        total = sum(
-            len(run_suite(name, config).checks)
-            for name in suite_names()
-            if name != "all"
-        )
-        assert len(report.checks) == total
+
+def suite_slices(report):
+    """The report's checks cut into per-suite runs, in SUITES order."""
+    start = 0
+    for name, checks in SUITES.items():
+        yield name, report.checks[start:start + len(checks)]
+        start += len(checks)
+
+
+class TestRunSuite:
+    def test_every_suite_passes_with_low_samples(self, all_report):
+        for name, checks in suite_slices(all_report):
+            assert [c.name for c in checks] == [check_name(fn) for fn in SUITES[name]]
+            assert all(c.status == "pass" for c in checks), [
+                c for c in checks if c.status != "pass"
+            ]
+
+    def test_all_concatenates(self, all_report):
+        total = sum(len(SUITES[name]) for name in suite_names() if name != "all")
+        assert len(all_report.checks) == total
 
     def test_unknown_suite(self):
         with pytest.raises(ConfigError):
@@ -130,10 +137,9 @@ class TestPlantedSpaceFaults:
         assert errors and all(c["witness"]["type"] == "MembershipError" for c in errors)
 
 
-def test_report_names_follow_check_function_names():
-    report = run_suite("all", Config(samples=2))
+def test_report_names_follow_check_function_names(all_report):
     expected = [check_name(fn) for checks in SUITES.values() for fn in checks]
-    assert [c.name for c in report.checks] == expected
+    assert [c.name for c in all_report.checks] == expected
 
 
 class TestPlantedSuiteFaults:
