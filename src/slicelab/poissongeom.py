@@ -82,11 +82,8 @@ class PointedBivector:
         covector = tuple(covector)
         if len(covector) != self.dim:
             raise ValueError("covector has wrong length")
-        cols = range(self.dim)
-        return tuple(
-            sum((covector[i] * self.matrix.rows[i][j] for i in cols), Fraction(0))
-            for j in cols
-        )
+        # covector^T P = -(P covector), since P is skew
+        return tuple(-c for c in self.matrix.apply(covector))
 
     def rank(self) -> int:
         r = self.matrix.rank()

@@ -502,9 +502,9 @@ def check_graph_injectivity(config, algebras):
     for i in _samples(config, 20):
         g = sample_group_element(alg, config.seed + 83, i)
         gamma = graph_subspace(g)
-        if gamma.plucker in seen and seen[gamma.plucker] != g:
+        if gamma in seen and seen[gamma] != g:
             return {"g": g.matrix}
-        seen[gamma.plucker] = g
+        seen[gamma] = g
 
 
 @check("wonderful")

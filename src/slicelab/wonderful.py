@@ -1,13 +1,14 @@
 """The wonderful compactification of PGL_n inside Gr(dim g, g + g).
 
-Points are n-dimensional subspaces of g + g in canonical reduced row
-echelon form, with normalized Plucker coordinates for equality and limit
-cross-checks.  Group points are graphs {(Ad_g y, y)}; boundary points are
-reached as exact limits of one-parameter curves with Laurent-polynomial
-entries.  Membership of an arbitrary subspace in the closure is not
-decided: a certificate (graph / limit / pgl2-model / action of certified)
-travels with each value, and the operations that need closure points
-demand it.
+Points are n-dimensional subspaces of g + g, stored as their canonical
+reduced row echelon basis, which equality, hashing and membership read;
+normalized Plucker coordinates are computed from it on read, for the limit
+cross-check and the CLI output.  Group points are graphs {(Ad_g y, y)};
+boundary points are reached as exact limits of one-parameter curves with
+Laurent-polynomial entries.  Membership of an arbitrary subspace in the
+closure is not decided: a certificate (graph / limit / pgl2-model / action
+of certified) travels with each value, and the operations that need
+closure points demand it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from fractions import Fraction
 from .exactnum import (
     LaurentPoly,
     Mat,
-    laurent_rank,
     lowest_minor_coefficients,
     maximal_minors,
     sample_rational,
@@ -45,25 +45,33 @@ class CertificateError(ValueError):
 class Subspace:
     """dim g-dimensional subspace of g + g, canonically presented."""
 
-    __slots__ = ("algebra", "basis", "plucker", "certified", "source")
+    __slots__ = ("algebra", "basis", "certified", "source")
 
     def __init__(self, algebra: LieAlgebra, rows, certified: bool = False, source: str = "raw"):
         n = algebra.dim
         reduced, pivots, rank = Mat([list(r) for r in rows]).rref()
         if rank != n:
             raise MembershipError(f"subspace basis has rank {rank}, expected {n}")
-        basis = Mat(reduced.rows[:n])
-        minors = maximal_minors(basis.rows, 2 * n, Fraction(0))
-        lead = next(m for m in minors if m)
         self.algebra = algebra
-        self.basis = basis
-        self.plucker = tuple(m / lead if m else _ZERO for m in minors)
+        self.basis = Mat(reduced.rows[:n])
         self.certified = certified
         self.source = source
 
     @property
     def dim(self) -> int:
         return self.algebra.dim
+
+    @property
+    def plucker(self) -> tuple:
+        """Normalized Plucker coordinates, computed on each read: the maximal
+        minors of the RREF basis in lexicographic column order.
+
+        They need no division, as the first nonzero one is already 1.  The
+        minor on the pivot columns is det(I) = 1, and every lexicographically
+        earlier column set has i columns left of the i-th pivot, where only
+        the first i - 1 rows are nonzero, so its minor vanishes.
+        """
+        return tuple(maximal_minors(self.basis.rows, 2 * self.dim, _ZERO))
 
     def rows_as_pairs(self):
         n = self.dim
@@ -76,9 +84,7 @@ class Subspace:
 
     def contains(self, pair) -> bool:
         y1, y2 = pair
-        vector = tuple(y1.coords) + tuple(y2.coords)
-        stacked = list(self.basis.rows) + [vector]
-        return Mat(stacked).rank() == self.dim
+        return not any(self.reduce(tuple(y1.coords) + tuple(y2.coords)))
 
     def reduce(self, vector):
         """Residual of a coordinate vector after eliminating the pivots of the basis."""
@@ -126,7 +132,7 @@ class Subspace:
         )
 
     def __hash__(self):
-        return hash((id(self.algebra), self.plucker))
+        return hash((id(self.algebra), self.basis))
 
     def __repr__(self):
         flag = "certified" if self.certified else "raw"
@@ -215,14 +221,6 @@ class CurveSubspace:
         rows = [[e.eval_at(Fraction(t0)) for e in r] for r in self.rows]
         return Subspace(self.algebra, rows, certified=False, source="curve-eval")
 
-    def generic_rank(self) -> int:
-        for t0 in (1, 2, 3, 5, 7):
-            rows = [[e.eval_at(Fraction(t0)) for e in r] for r in self.rows]
-            r = Mat(rows).rank()
-            if r == self.algebra.dim:
-                return r
-        return laurent_rank(self.rows, 2 * self.algebra.dim)
-
 
 def _laurent_det(m: Mat) -> LaurentPoly:
     n = m.nrows
@@ -271,11 +269,15 @@ def limit(curve: CurveSubspace) -> Subspace:
     """
     alg = curve.algebra
     n = alg.dim
-    if curve.generic_rank() < n:
-        raise DegenerateCurveError("curve has generic rank below the ambient requirement")
 
-    # Plucker-evaluation method, on the untouched basis.
-    mu, coeffs = lowest_minor_coefficients(curve.rows, 2 * n)
+    # Plucker-evaluation method, on the untouched basis.  Every maximal minor
+    # vanishes exactly when the generic rank is below n.
+    try:
+        mu, coeffs = lowest_minor_coefficients(curve.rows, 2 * n)
+    except ValueError:
+        raise DegenerateCurveError(
+            "curve has generic rank below the ambient requirement"
+        ) from None
     lead = next(c for c in coeffs if c)
     plucker_limit = tuple(Fraction(c, lead) if c else _ZERO for c in coeffs)
 
@@ -301,7 +303,6 @@ def limit(curve: CurveSubspace) -> Subspace:
         shed += extra
     else:
         raise InternalCheckError("limit reduction did not terminate within its valuation budget")
-    m0 = Mat([[e.eval_at_zero() for e in r] for r in work])
     result = Subspace(alg, m0.rows, certified=True, source="limit")
 
     if result.plucker != plucker_limit:
