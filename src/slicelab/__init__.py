@@ -7,7 +7,7 @@ fibrewise compactification of the universal centralizer.  Everything is
 immutable after construction and safe to share between workers.
 """
 
-from .exactnum import Dual, LaurentPoly, Mat, Rational, sample_rational
+from .exactnum import LaurentPoly, Mat, Rational, sample_rational
 from .liecore import (
     Ad,
     Element,

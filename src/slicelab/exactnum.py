@@ -3,13 +3,11 @@
 The ground field is the rationals, represented by ``fractions.Fraction``
 (arbitrary-precision, always reduced, positive denominator).  On top of it
 sit Laurent polynomials in one formal parameter (carriers for one-parameter
-subspace curves) and dual numbers (exact directional derivatives).  No
-floating point appears anywhere in this package.
+subspace curves).  No floating point appears anywhere in this package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -54,76 +52,6 @@ class RationalStream:
             value = self.take()
             if value:
                 return value
-
-
-@dataclass(frozen=True)
-class Dual:
-    """Element a + b*eps of Q[eps]/(eps^2); the eps part tracks one exact derivative."""
-
-    value: Fraction
-    derivative: Fraction = Fraction(0)
-
-    @staticmethod
-    def lift(x) -> "Dual":
-        if isinstance(x, Dual):
-            return x
-        return Dual(Fraction(x))
-
-    def __add__(self, other):
-        o = Dual.lift(other)
-        return Dual(self.value + o.value, self.derivative + o.derivative)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Dual(-self.value, -self.derivative)
-
-    def __sub__(self, other):
-        return self + (-Dual.lift(other))
-
-    def __rsub__(self, other):
-        return Dual.lift(other) + (-self)
-
-    def __mul__(self, other):
-        o = Dual.lift(other)
-        return Dual(self.value * o.value, self.value * o.derivative + self.derivative * o.value)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        o = Dual.lift(other)
-        if o.value == 0:
-            raise ZeroDivisionError("dual number with zero value part is not invertible")
-        v = self.value / o.value
-        return Dual(v, (self.derivative - v * o.derivative) / o.value)
-
-    def __rtruediv__(self, other):
-        return Dual.lift(other) / self
-
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative dual powers are not needed; invert explicitly")
-        out = Dual(Fraction(1))
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def __bool__(self):
-        return bool(self.value) or bool(self.derivative)
-
-    def __eq__(self, other):
-        o = Dual.lift(other) if not isinstance(other, Dual) else other
-        return self.value == o.value and self.derivative == o.derivative
-
-    def __hash__(self):
-        return hash((self.value, self.derivative))
-
-    def __repr__(self):
-        return f"Dual({self.value}, {self.derivative})"
 
 
 class LaurentPoly:
@@ -178,11 +106,6 @@ class LaurentPoly:
         if not self.coeffs:
             raise ValueError("zero polynomial has no valuation")
         return self.low
-
-    def degree(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no degree")
-        return self.low + len(self.coeffs) - 1
 
     def coeff(self, k: int) -> Fraction:
         i = k - self.low
@@ -242,28 +165,6 @@ class LaurentPoly:
             return LaurentPoly.zero()
         return LaurentPoly(self.low, [c * a for a in self.coeffs])
 
-    def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Divide by a polynomial that divides self exactly; used by fraction-free elimination."""
-        o = LaurentPoly.lift(other)
-        if not o.coeffs:
-            raise ZeroDivisionError("division by zero Laurent polynomial")
-        if not self.coeffs:
-            return LaurentPoly.zero()
-        rem = list(self.coeffs)
-        div = o.coeffs
-        out = [Fraction(0)] * (len(rem) - len(div) + 1)
-        if len(rem) < len(div):
-            raise ValueError("inexact Laurent division")
-        for k in range(len(out) - 1, -1, -1):
-            q = rem[k + len(div) - 1] / div[-1]
-            out[k] = q
-            if q:
-                for j, d in enumerate(div):
-                    rem[k + j] -= q * d
-        if any(rem):
-            raise ValueError("inexact Laurent division")
-        return LaurentPoly(self.low - o.low, out)
-
     def substitute_power(self, k: int) -> "LaurentPoly":
         """Reparametrize t -> t**k for a positive integer k."""
         if k <= 0:
@@ -274,15 +175,6 @@ class LaurentPoly:
         for i, c in enumerate(self.coeffs):
             out[i * k] = c
         return LaurentPoly(self.low * k, out)
-
-    def eval_at(self, t0: Fraction) -> Fraction:
-        t0 = Fraction(t0)
-        if t0 == 0:
-            return self.eval_at_zero()
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t0 + c
-        return acc * t0 ** self.low
 
     def eval_at_zero(self) -> Fraction:
         if not self.coeffs:
@@ -347,12 +239,6 @@ class Mat:
         i, j = ij
         return self.rows[i][j]
 
-    def row(self, i):
-        return self.rows[i]
-
-    def col(self, j):
-        return tuple(r[j] for r in self.rows)
-
     def __add__(self, other):
         return Mat([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
 
@@ -393,15 +279,8 @@ class Mat:
         return acc
 
     def apply(self, vec):
-        """Matrix times column vector."""
-        out = []
-        for r in self.rows:
-            acc = None
-            for a, v in zip(r, vec):
-                term = a * v
-                acc = term if acc is None else acc + term
-            out.append(acc)
-        return tuple(out)
+        """Matrix times column vector: the product with a one-column matrix."""
+        return tuple(r[0] for r in (self @ Mat([[v] for v in vec])).rows)
 
     def map(self, fn) -> "Mat":
         return Mat([[fn(a) for a in r] for r in self.rows])
@@ -729,34 +608,3 @@ def _signed_low(nbits: int):
     mask = (1 << nbits) - 1
     return lambda v: ((v + half) & mask) - half
 
-
-def laurent_rank(rows, ncols: int) -> int:
-    """Rank over the rational function field of a matrix with LaurentPoly entries.
-
-    Fraction-free (Bareiss-style) elimination; all divisions are exact.
-    """
-    m = [[LaurentPoly.lift(e) for e in r] for r in rows]
-    nr = len(m)
-    rank = 0
-    prev = LaurentPoly.const(1)
-    r = 0
-    for c in range(ncols):
-        pr = None
-        for i in range(r, nr):
-            if m[i][c]:
-                pr = i
-                break
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        for i in range(r + 1, nr):
-            for j in range(c + 1, ncols):
-                num = m[r][c] * m[i][j] - m[i][c] * m[r][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][c] = LaurentPoly.zero()
-        prev = m[r][c]
-        rank += 1
-        r += 1
-        if r == nr:
-            break
-    return rank

@@ -267,40 +267,20 @@ def bracket(x: Element, y: Element) -> Element:
     return Element(x.algebra, x.algebra.bracket_coords(x.coords, y.coords))
 
 
-def killing(x: Element, y: Element):
+def killing(x: Element, y: Element) -> Fraction:
     """Killing form <x, y> = tr(ad_x ad_y), evaluated through the cached Gram matrix.
 
-    Rational coordinates (Fraction or int) are scaled to integers and paired
-    through the integer Gram copy, with one division at the end; other
-    scalars (the Dual coordinates of the moment conditions) take the
-    entrywise loop.
+    Both coordinate tuples are scaled to integers and paired through the
+    integer Gram copy, with one division at the end.
     """
     x._check(y)
-    alg = x.algebra
-    if _is_rational(x.coords) and _is_rational(y.coords):
-        xs, dx = integer_coords(x.coords)
-        ys, dy = integer_coords(y.coords)
-        total = 0
-        for a, row in zip(xs, alg._gram_ints):
-            if a:
-                total += a * sum(g * b for g, b in zip(row, ys) if b)
-        return Fraction(total, dx * dy)
-    gram = alg.killing_gram
-    acc = None
-    for i, xi in enumerate(x.coords):
-        if not xi:
-            continue
-        row = gram.rows[i]
-        for j, yj in enumerate(y.coords):
-            if not yj:
-                continue
-            term = xi * row[j] * yj
-            acc = term if acc is None else acc + term
-    return acc if acc is not None else Fraction(0)
-
-
-def _is_rational(coords) -> bool:
-    return all(type(c) is Fraction or type(c) is int for c in coords)
+    xs, dx = integer_coords(x.coords)
+    ys, dy = integer_coords(y.coords)
+    total = 0
+    for a, row in zip(xs, x.algebra._gram_ints):
+        if a:
+            total += a * sum(g * b for g, b in zip(row, ys) if b)
+    return Fraction(total, dx * dy)
 
 
 def killing_covector(x: Element):
@@ -371,7 +351,7 @@ def _normalize_projective(m: Mat) -> Mat:
 
 
 def Ad(g: GroupElement, x: Element) -> Element:
-    """Adjoint action g x g^-1 in coordinates; exact for any scalar coordinates."""
+    """Adjoint action g x g^-1 in coordinates."""
     conj = g.matrix @ x.matrix() @ g.inverse_matrix()
     return x.algebra.element_from_matrix(conj)
 

@@ -7,9 +7,9 @@ Conventions, fixed once for the whole package:
   P(alpha), and the bracket is {f1, f2} = df2(P(df1)).  On g this makes
   P_y(alpha) = [y, kappa(alpha)], reproducing {f1, f2}(y) = <y, [df1, df2]>.
 * Hamiltonian vector fields are H_f = -P(df), and fundamental vector
-  fields are d/d eps of the exp(eps*b)-action, both computed with dual
-  numbers.  On the fibre, the first-order jet of Ad_exp(eps*b) x is
-  x + eps*[b, x], carried as Dual coordinates.
+  fields are d/d eps of the exp(eps*b)-action.  Both are first order, so
+  only tangents enter: on the fibre, d/d eps of Ad_exp(eps*b) x is the
+  bracket [b, x].
 * Covectors on g + g pair with a sign flip on the second summand,
   (x1, x2) -> (<x1, .>, -<x2, .>).  Moment values of right-factor actions
   (rho_R, and the adjoint action on g with its Lie-Poisson structure)
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .exactnum import Dual, Mat, span_contains
+from .exactnum import Mat, span_contains
 from .liecore import (
     Ad,
     Element,
@@ -160,25 +160,7 @@ def product_moment_logd(nu_value: Element, p: LogCotangentPoint) -> MomentValue:
     return MomentValue(nu_value - p.pair[0], -p.pair[1])
 
 
-# --- dual-number differentiation of actions ------------------------------
-
-
-def _dual_ad(b: Element, x: Element) -> Element:
-    """Ad of the dual group curve 1 + eps*b on x: x + eps*[b, x], in Dual coordinates."""
-    return Element(x.algebra, tuple(map(Dual, x.coords, bracket(b, x).coords)))
-
-
-def _eps_coords(x: Element):
-    return tuple(Dual.lift(c).derivative for c in x.coords)
-
-
-def _dual_directions(y: Element):
-    """The eps-curves y + eps*e_i through y along the coordinate directions."""
-    alg = y.algebra
-    return [
-        alg.element(tuple(Dual(c, Fraction(k == i)) for k, c in enumerate(y.coords)))
-        for i in range(alg.dim)
-    ]
+# --- fundamental fields as eps-derivatives of actions --------------------
 
 
 def _adjoint_field(y: Element, b: Element):
@@ -187,19 +169,19 @@ def _adjoint_field(y: Element, b: Element):
 
 def _right_field(p: CotangentPoint, b: Element):
     # exp(eps b) . (g, x) = (g exp(-eps b), Ad_exp(eps b) x)
-    return _cotangent_velocity(p.g, -(p.g.matrix @ b.matrix()), _dual_ad(b, p.x))
+    return _cotangent_velocity(p.g, -(p.g.matrix @ b.matrix()), bracket(b, p.x))
 
 
 def _left_field(p: CotangentPoint, b: Element):
     # exp(eps b) . (g, x) = (exp(eps b) g, x)
-    return _cotangent_velocity(p.g, b.matrix() @ p.g.matrix, p.x)
+    return _cotangent_velocity(p.g, b.matrix() @ p.g.matrix, p.x.algebra.zero())
 
 
-def _cotangent_velocity(g0: GroupElement, g_derivative: Mat, fibre: Element):
-    """Left-trivialized velocity of the curve (g0 + eps*g_derivative, fibre):
-    the eps-part of g0^-1 g(eps), then the eps-part of the fibre."""
-    alg = fibre.algebra
-    return alg.coords_from_matrix(g0.inverse_matrix() @ g_derivative) + _eps_coords(fibre)
+def _cotangent_velocity(g0: GroupElement, g_derivative: Mat, fibre_tangent: Element):
+    """Left-trivialized velocity of the curve (g0 + eps*g_derivative, x + eps*fibre_tangent):
+    the eps-part of g0^-1 g(eps), then the fibre tangent."""
+    alg = fibre_tangent.algebra
+    return alg.coords_from_matrix(g0.inverse_matrix() @ g_derivative) + fibre_tangent.coords
 
 
 def fundamental_vf(space: str, point, b: Element):
@@ -211,16 +193,16 @@ def fundamental_vf(space: str, point, b: Element):
 def check_moment_condition(space: str, point, b: Element, slc: SlodowySlice | None = None):
     """Exactness test of H_(nu^b) = -V_b at the point; returns (ok, witness).
 
-    The differential of nu^b is assembled coordinate by coordinate with
-    dual numbers, then pushed through the pointed bivector; the fundamental
-    field is the eps-derivative of the action.  Everything is exact, so a
-    single mismatch is a definitive counterexample.
+    The differential of nu^b is assembled coordinate by coordinate, as
+    sign * <d nu, b> along each coordinate direction, then pushed through
+    the pointed bivector; the fundamental field is the eps-derivative of
+    the action.  Everything is exact, so a single mismatch is a definitive
+    counterexample.
     """
     condition = space_part(space, "moment_condition")
     pb = condition.bivector(point)
     covector = tuple(
-        Dual.lift(condition.sign * killing(value, b)).derivative
-        for value in condition.dual_moments(point)
+        condition.sign * killing(tangent, b) for tangent in condition.moment_tangents(point)
     )
     hamiltonian = tuple(-c for c in pb.apply(covector))
     negated = tuple(-c for c in fundamental_vf(space, point, b))
@@ -242,11 +224,12 @@ def check_moment_condition(space: str, point, b: Element, slc: SlodowySlice | No
 class MomentCondition:
     """What the test H_(nu^b) = -V_b needs on a space: nu^b = sign * <nu, b>
     (-1 for right-factor actions, +1 for left-factor ones), the pointed
-    bivector, and nu along the eps-curves of the bivector's coordinates."""
+    bivector, and the tangents d nu along the eps-curves of the bivector's
+    coordinates."""
 
     sign: int
     bivector: Callable
-    dual_moments: Callable
+    moment_tangents: Callable
 
 
 @dataclass(frozen=True)
@@ -284,10 +267,11 @@ def _bivector_at_identity(p: CotangentPoint) -> PointedBivector:
     return cotangent_bivector(p.x.algebra, p.x)
 
 
-def _left_dual_moments(p: CotangentPoint):
-    """Ad_g x along the group directions at (e, x), then the fibre coordinate
-    along the fibre directions, where g stays at e."""
-    return [_dual_ad(b, p.x) for b in p.x.algebra.basis_elements()] + _dual_directions(p.x)
+def _left_moment_tangents(p: CotangentPoint):
+    """d(Ad_g x) along the group directions at (e, x), which is [b_i, x],
+    then along the fibre directions, where g stays at e: the basis."""
+    basis = p.x.algebra.basis_elements()
+    return [bracket(b, p.x) for b in basis] + basis
 
 
 SPACES = {
@@ -295,7 +279,8 @@ SPACES = {
     "lie-poisson": SpaceModel(
         lambda y, slc: isinstance(y, Element), lambda y: y, fundamental=_adjoint_field,
         moment_condition=MomentCondition(
-            -1, lambda y: lie_poisson_bivector(y.algebra, y), _dual_directions
+            -1, lambda y: lie_poisson_bivector(y.algebra, y),
+            lambda y: y.algebra.basis_elements(),
         ),
     ),
     # T*G with rho_R: exp(eps b) . (g, x) = (g exp(-eps b), Ad_exp(eps b) x)
@@ -304,13 +289,14 @@ SPACES = {
         action=lambda p, g: CotangentPoint(p.g * g.inverse(), Ad(g, p.x)),
         fundamental=_right_field, quotient=lambda p: Ad(p.g, p.x), normalizer=lambda p: p.g,
         moment_condition=MomentCondition(
-            -1, _bivector_at_identity, lambda p: [p.x] * p.x.algebra.dim + _dual_directions(p.x)
+            -1, _bivector_at_identity,
+            lambda p: [p.x.algebra.zero()] * p.x.algebra.dim + p.x.algebra.basis_elements(),
         ),
     ),
     # T*G with rho_L: exp(eps b) . (g, x) = (exp(eps b) g, x)
     "tstarg-left": SpaceModel(
         _is_cotangent, lambda p: Ad(p.g, p.x), fundamental=_left_field,
-        moment_condition=MomentCondition(1, _bivector_at_identity, _left_dual_moments),
+        moment_condition=MomentCondition(1, _bivector_at_identity, _left_moment_tangents),
     ),
     # T*G with the pair action rho_L x rho_R
     "tstarg-both": SpaceModel(_is_cotangent, lambda p: MomentValue(Ad(p.g, p.x), p.x)),

@@ -217,10 +217,6 @@ class CurveSubspace:
             rows.append([u * e for e in r])
         return CurveSubspace(self.algebra, rows)
 
-    def eval_at(self, t0) -> Subspace:
-        rows = [[e.eval_at(Fraction(t0)) for e in r] for r in self.rows]
-        return Subspace(self.algebra, rows, certified=False, source="curve-eval")
-
 
 def _laurent_det(m: Mat) -> LaurentPoly:
     n = m.nrows

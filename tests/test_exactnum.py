@@ -6,11 +6,9 @@ from math import lcm, prod
 import pytest
 
 from slicelab.exactnum import (
-    Dual,
     LaurentPoly,
     Mat,
     charpoly,
-    laurent_rank,
     lowest_minor_coefficients,
     maximal_minors,
     sample_rational,
@@ -85,34 +83,6 @@ class TestFieldAxioms:
         assert gcd(q.numerator, q.denominator) == 1
 
 
-class TestDual:
-    def test_defining_product(self):
-        a, b, c, d = map(Fraction, (2, 3, -1, 5))
-        prod = Dual(a, b) * Dual(c, d)
-        assert prod == Dual(a * c, a * d + b * c)
-
-    def test_polynomial_derivative(self):
-        # p(x) = x^3 - 2x has p'(a) = 3a^2 - 2.
-        for i in range(20):
-            a = sample_rational(5, i)
-            x = Dual(a, Fraction(1))
-            p = x ** 3 - 2 * x
-            assert p.value == a ** 3 - 2 * a
-            assert p.derivative == 3 * a ** 2 - 2
-
-    def test_composed_map_derivative(self):
-        # chain rule through division: q(x) = (x^2 + 1) / (x - 3)
-        a = Fraction(1, 2)
-        x = Dual(a, Fraction(1))
-        q = (x * x + 1) / (x - 3)
-        expected = (2 * a * (a - 3) - (a * a + 1)) / (a - 3) ** 2
-        assert q.derivative == expected
-
-    def test_division_by_pure_epsilon_fails(self):
-        with pytest.raises(ZeroDivisionError):
-            Dual(Fraction(1)) / Dual(Fraction(0), Fraction(1))
-
-
 class TestLaurentPoly:
     def test_trim_invariant(self):
         p = LaurentPoly(-2, [0, 1, 2, 0])
@@ -131,20 +101,9 @@ class TestLaurentPoly:
 
     def test_eval_and_substitute(self):
         p = LaurentPoly(-1, [1, 0, 3])  # t^-1 + 3t
-        t0 = Fraction(2)
-        assert p.eval_at(t0) == Fraction(1, 2) + 6
         assert p.substitute_power(2) == LaurentPoly(-2, [1, 0, 0, 0, 3])
         with pytest.raises(ValueError):
             p.eval_at_zero()
-
-    def test_exact_division(self):
-        a = LaurentPoly(-1, [1, 2])  # t^-1 + 2
-        b = LaurentPoly(0, [3, 1])  # 3 + t
-        prod = a * b
-        assert prod.exact_div(a) == b
-        assert prod.exact_div(b) == a
-        with pytest.raises(ValueError):
-            LaurentPoly(0, [1, 1]).exact_div(LaurentPoly(0, [1, 1, 1]))
 
 
 class TestRref:
@@ -218,14 +177,6 @@ class TestLinearAlgebraHelpers:
         for (c1, c2), value in zip(pairs, minors):
             direct = rows[0][c1] * rows[1][c2] - rows[0][c2] * rows[1][c1]
             assert value == direct
-
-    def test_laurent_rank(self):
-        t = LaurentPoly.t_power(1)
-        one = LaurentPoly.const(1)
-        rows = [[t, one], [t * t, t]]  # second row = t * first row
-        assert laurent_rank(rows, 2) == 1
-        rows = [[t, one], [one, t]]
-        assert laurent_rank(rows, 2) == 2
 
 
 def random_laurent_rows(seed, k, ncols, density):
@@ -442,6 +393,9 @@ class TestIntegerKernelsAgainstFractionOracles:
         m = Mat(rows)
         x = [sample_rational(nr * nc, j) for j in range(nc)]
         consistent = [row[0] for row in triple_loop_product(rows, [[v] for v in x])]
+        assert list(m.apply(x)) == consistent
+        with pytest.raises(ValueError, match="shape mismatch"):
+            m.apply(x[:-1])
         free_rhs = [sample_rational(nr + nc, i) + 1 for i in range(nr)]
         for rhs in (consistent, free_rhs):
             aug = [list(r) + [b] for r, b in zip(rows, rhs)]
@@ -534,12 +488,12 @@ class TestIntegerKernelEdges:
         assert r == Mat.identity(2) and pivots == (0, 1) and rank == 2
         assert all(type(a) is Fraction for row in r.rows for a in row)
 
-    def test_dual_entries_keep_the_generic_product(self):
-        a = [[Dual(Fraction(i + j), Fraction(i - j)) for j in range(3)] for i in range(2)]
-        b = [[Dual(Fraction(i * j + 1), Fraction(1, i + 2)) for j in range(2)] for i in range(3)]
-        expected = [[sum((a[i][k] * b[k][j] for k in range(3)), Dual(Fraction(0)))
+    def test_laurent_entries_keep_the_generic_product(self):
+        t = LaurentPoly.t_power(1)
+        a = [[LaurentPoly(i - j, [i + j, Fraction(1, j + 2)]) for j in range(3)] for i in range(2)]
+        b = [[LaurentPoly(j, [Fraction(i * j + 1, 3)]) for j in range(2)] for i in range(3)]
+        expected = [[sum((a[i][k] * b[k][j] for k in range(3)), LaurentPoly.zero())
                      for j in range(2)] for i in range(2)]
         assert Mat(a) @ Mat(b) == Mat(expected)
-        mixed = Mat([[Fraction(1), Fraction(2)]]) @ Mat([[Dual(Fraction(1), Fraction(1))],
-                                                         [Dual(Fraction(3))]])
-        assert mixed == Mat([[Dual(Fraction(7), Fraction(1))]])
+        mixed = Mat([[Fraction(1), Fraction(2)]]) @ Mat([[t], [LaurentPoly.const(3)]])
+        assert mixed == Mat([[LaurentPoly(0, [6, 1])]])

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from slicelab.exactnum import Dual, Mat, sample_rational
+from slicelab.exactnum import Mat, sample_rational
 from slicelab.liecore import (
     Ad,
     GroupElement,
@@ -214,16 +214,6 @@ class TestIntegerLiePathsAgainstFractionOracles:
             got = killing(a, b)
             assert got == killing_oracle(a, b)
             assert type(got) is Fraction
-
-    def test_killing_on_dual_coordinates(self, n, kind, seed):
-        alg = lie_algebra(n)
-        x, y = coordinate_pair(alg, kind, seed)
-        jet = alg.element(tuple(map(Dual, x, y)))
-        plain = alg.element(y)
-        for a, b in [(jet, plain), (plain, jet), (jet, jet)]:
-            got = killing(a, b)
-            assert got == killing_oracle(a, b)
-            assert isinstance(got, Dual) or got == 0
 
     def test_matrix_from_coords(self, n, kind, seed):
         alg = lie_algebra(n)

@@ -1,9 +1,10 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
-from slicelab.exactnum import Dual, Mat, sample_rational
+from slicelab.exactnum import Mat, sample_rational
 from slicelab.liecore import (
     Ad,
     GroupElement,
@@ -15,11 +16,11 @@ from slicelab.liecore import (
     sample_group_element,
 )
 from slicelab.poissongeom import (
+    SPACES,
     CotangentPoint,
     MembershipError,
     MomentValue,
     UnsupportedSpaceError,
-    _dual_ad,
     bivector_rank,
     check_moment_condition,
     cotangent_bivector,
@@ -311,15 +312,10 @@ class TestFundamentalField:
         assert v == tuple(Ad(g.inverse(), b).coords) + tuple(sl2.zero().coords)
 
 
-def dual_ad_oracle(b, x):
-    """The matrix form of the jet: (1 + eps*b) x (1 - eps*b) on Dual entries."""
-    n = x.algebra.n
-    bm = b.matrix()
-
-    def curve(sign):
-        return Mat([[Dual(Fraction(i == j), sign * bm[i, j]) for j in range(n)] for i in range(n)])
-
-    return x.algebra.element_from_matrix(curve(1) @ x.matrix().map(Dual.lift) @ curve(-1))
+def commutator_oracle(b, x):
+    """b*x - x*b on Fraction matrices: the eps-part of (1 + eps*b) x (1 - eps*b)."""
+    bm, xm = b.matrix(), x.matrix()
+    return x.algebra.element_from_matrix(bm @ xm - xm @ bm)
 
 
 JET_KINDS = ["seeded", "zero-x", "zero-b", "int", "60-bit"]
@@ -348,18 +344,39 @@ def jet_case(alg, kind, seed):
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("kind", JET_KINDS)
 @pytest.mark.parametrize("n", [2, 3])
-def test_dual_ad_against_matrix_form(n, kind, seed):
+def test_fibre_tangent_against_matrix_commutator(n, kind, seed):
     alg = lie_algebra(n)
     b, x = jet_case(alg, kind, seed)
-    want = dual_ad_oracle(b, x)
-    got = _dual_ad(b, x)
-    assert [(c.value, c.derivative) for c in got.coords] == [
-        (c.value, c.derivative) for c in want.coords
-    ]
-    velocity = tuple(c.derivative for c in want.coords)
+    velocity = commutator_oracle(b, x).coords
+    assert all(type(c) is Fraction for c in velocity)
     assert fundamental_vf("lie-poisson", x, b) == velocity
     p = CotangentPoint(sample_group_element(alg, 83, seed), x)
     assert fundamental_vf("tstarg-right", p, b) == tuple((-1 * b).coords) + velocity
+
+
+MOMENT_TAGS = [tag for tag, model in SPACES.items() if model.moment_condition is not None]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("tag", MOMENT_TAGS)
+def test_negated_moment_tangents_fail_the_moment_condition(monkeypatch, tag, n):
+    alg = lie_algebra(n)
+    model = SPACES[tag]
+    condition = model.moment_condition
+    points = []
+    for i in range(3):
+        x, b = sample_element(alg, 89, 2 * i), sample_element(alg, 89, 2 * i + 1)
+        point = x if model.member(x, None) else CotangentPoint(GroupElement.identity(alg), x)
+        assert check_moment_condition(tag, point, b)[0]
+        points.append((point, b))
+    negated = dataclasses.replace(
+        condition, moment_tangents=lambda p: [-t for t in condition.moment_tangents(p)]
+    )
+    monkeypatch.setitem(SPACES, tag, dataclasses.replace(model, moment_condition=negated))
+    for point, b in points:
+        ok, witness = check_moment_condition(tag, point, b)
+        assert not ok
+        assert witness["hamiltonian_field"] != witness["negated_fundamental_field"]
 
 
 class TestTransversality:
