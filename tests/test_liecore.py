@@ -215,6 +215,20 @@ class TestIntegerLiePathsAgainstFractionOracles:
             assert got == killing_oracle(a, b)
             assert type(got) is Fraction
 
+    def test_killing_of_a_bracket_tangent(self, n, kind, seed):
+        # The moment condition pairs fibre tangents [b, x] with b under killing;
+        # invariance K([b, x], y) = -K(x, [b, y]) is the first-order part of
+        # K(Ad_g x, Ad_g y) = K(x, y).
+        alg = lie_algebra(n)
+        x, y = (alg.element(c) for c in coordinate_pair(alg, kind, seed))
+        b = sample_element(alg, seed, 2)
+        for u, v in [(x, y), (y, x), (x, x)]:
+            tangent = bracket(b, u)
+            got = killing(tangent, v)
+            assert got == killing_oracle(tangent, v)
+            assert got == -killing(u, bracket(b, v))
+            assert type(got) is Fraction
+
     def test_matrix_from_coords(self, n, kind, seed):
         alg = lie_algebra(n)
         x, _ = coordinate_pair(alg, kind, seed)

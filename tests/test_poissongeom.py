@@ -357,6 +357,36 @@ def test_fibre_tangent_against_matrix_commutator(n, kind, seed):
 MOMENT_TAGS = [tag for tag, model in SPACES.items() if model.moment_condition is not None]
 
 
+def moment_tangents_oracle(tag, point):
+    """d nu along each coordinate eps-curve, from coordinates and matrices:
+    a fibre or Lie-Poisson direction moves nu = x by its unit vector; a
+    group direction exp(eps*b_i) leaves nu = x fixed under rho_R and moves
+    nu = Ad_g x by b_i*x - x*b_i under rho_L at g = e."""
+    x = point if tag == "lie-poisson" else point.x
+    alg = x.algebra
+    units = [alg.element(tuple(Fraction(i == j) for j in range(alg.dim))) for i in range(alg.dim)]
+    if tag == "lie-poisson":
+        return units
+    if tag == "tstarg-right":
+        return [alg.zero()] * alg.dim + units
+    return [commutator_oracle(b, x) for b in units] + units
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("tag", MOMENT_TAGS)
+def test_moment_tangents_against_coordinate_curves(tag, n):
+    alg = lie_algebra(n)
+    model = SPACES[tag]
+    condition = model.moment_condition
+    for i in range(3):
+        x = sample_element(alg, 97, i)
+        point = x if model.member(x, None) else CotangentPoint(GroupElement.identity(alg), x)
+        got = condition.moment_tangents(point)
+        assert len(got) == condition.bivector(point).dim
+        assert [t.coords for t in got] == [t.coords for t in moment_tangents_oracle(tag, point)]
+        assert all(type(c) is Fraction for t in got for c in t.coords)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("tag", MOMENT_TAGS)
 def test_negated_moment_tangents_fail_the_moment_condition(monkeypatch, tag, n):
