@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import gcd, lcm, prod
+from itertools import chain, combinations
+from math import gcd, lcm
 from operator import mul
 
 Rational = Fraction
@@ -208,54 +208,116 @@ class LaurentPoly:
 
 
 class Mat:
-    """Immutable dense matrix over any exact commutative scalar type."""
+    """Immutable dense matrix over any exact commutative scalar type.
 
-    __slots__ = ("rows",)
+    A matrix of rationals (``Fraction`` or ``int`` entries) also has an
+    integer core ``(ints, d)``: integer rows with the matrix equal to
+    ``ints / d``, where ``d > 0`` and the gcd of ``d`` and every entry of
+    ``ints`` is 1, so the core of a matrix is unique.  It is computed at
+    most once, on first use by a kernel; products, sums, differences and
+    rational multiples of rational matrices are built from it directly, and
+    their ``rows`` of ``Fraction``s are built only when a caller reads them.
+    Every other entry type (``LaurentPoly``) runs the generic loops on rows.
+    """
+
+    __slots__ = ("_rows", "_core", "nrows", "ncols")
 
     def __init__(self, rows):
-        self.rows = tuple(tuple(r) for r in rows)
-        if self.rows:
-            width = len(self.rows[0])
-            if any(len(r) != width for r in self.rows):
-                raise ValueError("ragged matrix")
+        rows = tuple(tuple(r) for r in rows)
+        width = len(rows[0]) if rows else 0
+        if any(len(r) != width for r in rows):
+            raise ValueError("ragged matrix")
+        self._rows = rows
+        self._core = None
+        self.nrows = len(rows)
+        self.ncols = width
+
+    @staticmethod
+    def from_core(ints, d: int) -> "Mat":
+        """The rational matrix ints / d, for integer rows ``ints`` and an
+        integer ``d != 0``."""
+        ints = tuple(tuple(r) for r in ints)
+        if ints and any(len(r) != len(ints[0]) for r in ints):
+            raise ValueError("ragged matrix")
+        if not d:
+            raise ZeroDivisionError("matrix core with denominator 0")
+        return _reduced(ints, d)
 
     @staticmethod
     def identity(n: int) -> "Mat":
-        return Mat([[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)])
+        return _core_mat(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), 1)
 
     @staticmethod
     def zeros(r: int, c: int) -> "Mat":
-        return Mat([[Fraction(0)] * c for _ in range(r)])
+        return _core_mat(((0,) * c,) * r, 1)
 
     @property
-    def nrows(self) -> int:
-        return len(self.rows)
+    def rows(self) -> tuple:
+        rows = self._rows
+        if rows is None:
+            ints, d = self._core
+            rows = self._rows = tuple(tuple(_ratio(a, d) for a in r) for r in ints)
+        return rows
 
-    @property
-    def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+    def core(self):
+        """The integer core ``(ints, d)``, or None when an entry is not a
+        rational (a ``LaurentPoly``, say)."""
+        return self._rational() or None
+
+    def _rational(self):
+        """The integer core, or False when some entry is not a rational."""
+        core = self._core
+        if core is None:
+            core = self._core = _core_of(self._rows)
+        return core
+
+    def _field_core(self):
+        core = self._rational()
+        if not core:
+            raise TypeError("field routines need rational entries")
+        return core
 
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
 
     def __add__(self, other):
-        return Mat([[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        a, b = self._rational(), other._rational()
+        if a and b:
+            return _combine(a, b, 1)
+        return Mat([[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
 
     def __sub__(self, other):
-        return Mat([[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
+        a, b = self._rational(), other._rational()
+        if a and b:
+            return _combine(a, b, -1)
+        return Mat([[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)])
 
     def __neg__(self):
+        core = self._rational()
+        if core:
+            ints, d = core
+            return _core_mat(tuple(tuple(-a for a in r) for r in ints), d)
         return Mat([[-a for a in r] for r in self.rows])
 
     def scale(self, c):
+        core = self._rational()
+        if core and type(c) in (Fraction, int):
+            ints, d = core
+            num = c.numerator
+            return _reduced(tuple(tuple(num * a for a in r) for r in ints), d * c.denominator)
         return Mat([[c * a for a in r] for r in self.rows])
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch")
-        if self.rows and other.rows and _all_fractions(self.rows) and _all_fractions(other.rows):
-            return _fraction_matmul(self.rows, other.rows)
+        a, b = self._rational(), other._rational()
+        if a and b:
+            (a_ints, da), (b_ints, db) = a, b
+            cols = tuple(zip(*b_ints))
+            return _reduced(
+                tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in a_ints), da * db
+            )
         cols = other.ncols
         out = []
         for r in self.rows:
@@ -279,38 +341,58 @@ class Mat:
         return acc
 
     def apply(self, vec):
-        """Matrix times column vector: the product with a one-column matrix."""
-        return tuple(r[0] for r in (self @ Mat([[v] for v in vec])).rows)
+        """Matrix times column vector."""
+        vec = tuple(vec)
+        if len(vec) != self.ncols:
+            raise ValueError("shape mismatch")
+        core = self._rational()
+        if not core:
+            return tuple(r[0] for r in (self @ Mat([[v] for v in vec])).rows)
+        ints, d = core
+        vs, dv = integer_coords(vec)
+        den = d * dv
+        return tuple(_ratio(sum(map(mul, r, vs)), den) for r in ints)
 
     def map(self, fn) -> "Mat":
         return Mat([[fn(a) for a in r] for r in self.rows])
 
     def is_zero(self) -> bool:
+        core = self._core
+        if core:
+            return not any(map(any, core[0]))
         return all(not a for r in self.rows for a in r)
 
     def __eq__(self, other):
-        return isinstance(other, Mat) and self.rows == other.rows
+        if not isinstance(other, Mat):
+            return False
+        a, b = self._rational(), other._rational()
+        if a and b:
+            return a == b
+        return self.rows == other.rows
 
     def __hash__(self):
-        return hash(self.rows)
+        core = self._rational()
+        return hash(core) if core else hash(self.rows)
 
     def __repr__(self):
         return "Mat([" + ", ".join("[" + ", ".join(map(str, r)) + "]" for r in self.rows) + "])"
 
-    # Field-scalar routines (Fraction entries), run on integer rows.
+    # Field-scalar routines (rational entries), run on the integer core.
 
     def rref(self):
         """Reduced row echelon form; returns (matrix, pivot columns, rank).
 
         Pivot choice is the first nonzero entry in column order, which makes
-        the output canonical and the whole pipeline reproducible.  Each row
-        is scaled to integers, and Gauss-Jordan runs fraction-free on them:
+        the output canonical and the whole pipeline reproducible.
+        Gauss-Jordan runs fraction-free on the integer core:
         row_i <- pv*row_i - f*row_r, divided by the gcd of its entries.
         Scaling a row never changes which entries vanish, so the pivots are
         those of the Fraction elimination, and since the reduced form is
-        unique, so is the result.  Fractions are built only at the end.
+        unique, so is the result.  The result is returned as a core, each
+        row over its pivot; its ``Fraction``s are built only when read.
         """
-        m, _ = _integer_rows(self.rows)
+        ints, _ = self._field_core()
+        m = [list(r) for r in ints]
         nr, nc = len(m), self.ncols
         pivots = []
         r = 0
@@ -337,9 +419,10 @@ class Mat:
             r += 1
             if r == nr:
                 break
-        out = [[_ratio(a, m[i][c]) for a in m[i]] for i, c in enumerate(pivots)]
-        out += [[_ZERO] * nc for _ in range(r, nr)]
-        return Mat(out), tuple(pivots), r
+        den = lcm(*(m[i][c] for i, c in enumerate(pivots)))
+        out = tuple(tuple(a * (den // m[i][c]) for a in m[i]) for i, c in enumerate(pivots))
+        out += ((0,) * nc,) * (nr - r)
+        return _reduced(out, den), tuple(pivots), r
 
     def rank(self) -> int:
         return self.rref()[2]
@@ -347,46 +430,58 @@ class Mat:
     def kernel(self):
         """Basis of the right null space, as a list of coordinate tuples."""
         R, pivots, rank = self.rref()
+        ints, d = R.core()
         nc = self.ncols
-        free = [c for c in range(nc) if c not in pivots]
         basis = []
-        for fc in free:
-            v = [Fraction(0)] * nc
-            v[fc] = Fraction(1)
+        for fc in range(nc):
+            if fc in pivots:
+                continue
+            v = [_ZERO] * nc
+            v[fc] = _ONE
             for r, pc in enumerate(pivots):
-                v[pc] = -R.rows[r][fc]
+                v[pc] = _ratio(-ints[r][fc], d)
             basis.append(tuple(v))
         return basis
 
     def solve(self, rhs):
         """One solution of self @ x = rhs, or None if inconsistent."""
-        aug = Mat([list(r) + [b] for r, b in zip(self.rows, rhs)])
+        ints, d = self._field_core()
+        bs, db = integer_coords(rhs)
+        # (ints / d) x = bs / db  <=>  (db * ints) x = d * bs
+        aug = Mat.from_core([[db * a for a in r] + [d * b] for r, b in zip(ints, bs)], 1)
         R, pivots, rank = aug.rref()
         nc = self.ncols
         if nc in pivots:
             return None
-        x = [Fraction(0)] * nc
+        r_ints, den = R.core()
+        x = [_ZERO] * nc
         for r, pc in enumerate(pivots):
-            x[pc] = R.rows[r][nc]
+            x[pc] = _ratio(r_ints[r][nc], den)
         return tuple(x)
 
     def inverse(self) -> "Mat":
         n = self.nrows
         if n != self.ncols:
             raise ValueError("inverse of non-square matrix")
-        aug = Mat([list(r) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-                   for i, r in enumerate(self.rows)])
+        ints, d = self._field_core()
+        aug = _core_mat(
+            tuple(r + tuple(int(i == j) for j in range(n)) for i, r in enumerate(ints)), 1
+        )
         R, pivots, rank = aug.rref()
         if rank < n or any(p >= n for p in pivots[:n]):
             raise ValueError("singular matrix")
-        return Mat([r[n:] for r in R.rows])
+        # R = [I | ints^-1] and (ints / d)^-1 = d * ints^-1
+        r_ints, den = R.core()
+        return _reduced(tuple(tuple(d * a for a in r[n:]) for r in r_ints), den)
 
     def det(self):
-        """Determinant by Bareiss fraction-free elimination on the integer-scaled rows."""
+        """Determinant by Bareiss fraction-free elimination on the integer core,
+        divided by d^n."""
         n = self.nrows
         if n != self.ncols:
             raise ValueError("determinant of non-square matrix")
-        m, scales = _integer_rows(self.rows)
+        ints, d = self._field_core()
+        m = [list(r) for r in ints]
         sign = 1
         prev = 1
         for c in range(n):
@@ -396,7 +491,7 @@ class Mat:
                     pr = i
                     break
             if pr is None:
-                return Fraction(0)
+                return _ZERO
             if pr != c:
                 m[c], m[pr] = m[pr], m[c]
                 sign = -sign
@@ -407,50 +502,97 @@ class Mat:
                 f = row[c]
                 m[i] = [(pv * a - f * b) // prev for a, b in zip(row, prow)]
             prev = pv
-        return Fraction(sign * prev, prod(scales))
+        return Fraction(sign * prev, d**n)
 
 
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _ratio(num: int, den: int) -> Fraction:
     return Fraction(num, den) if num else _ZERO
 
 
-def _all_fractions(rows) -> bool:
-    return all(type(a) is Fraction for r in rows for a in r)
+def _core_mat(ints: tuple, d: int) -> Mat:
+    """A matrix from a core already in lowest terms (d > 0): tuple rows of ints."""
+    m = object.__new__(Mat)
+    m._rows = None
+    m._core = (ints, d)
+    m.nrows = len(ints)
+    m.ncols = len(ints[0]) if ints else 0
+    return m
+
+
+def _reduced(ints: tuple, d: int) -> Mat:
+    """The matrix ints / d with the core brought to lowest terms."""
+    g = gcd(d, *chain.from_iterable(ints))
+    if d < 0:
+        g = -g
+    if g != 1:
+        ints = tuple(tuple(a // g for a in r) for r in ints)
+        d //= g
+    return _core_mat(ints, d)
+
+
+def _core_of(rows):
+    """The integer core of rows of rationals (lcm of the denominators, which
+    is already in lowest terms), or False if an entry is not a rational.
+    A matrix whose first entry is not one (a Laurent curve) is told apart
+    without raising."""
+    if rows and rows[0] and type(rows[0][0]) not in (Fraction, int):
+        return False
+    try:
+        d = lcm(*{a.denominator for r in rows for a in r})
+        return tuple(tuple(a.numerator * (d // a.denominator) for a in r) for r in rows), d
+    except AttributeError:
+        return False
+
+
+def _combine(a, b, sign: int) -> Mat:
+    """a + sign * b for two integer cores, over the lcm of their denominators."""
+    (a_ints, da), (b_ints, db) = a, b
+    if da == db:
+        fa = fb = 1
+    else:
+        g = gcd(da, db)
+        fa, fb = db // g, da // g
+    fb *= sign
+    return _reduced(
+        tuple(tuple(fa * x + fb * y for x, y in zip(r1, r2)) for r1, r2 in zip(a_ints, b_ints)),
+        da * fa,
+    )
 
 
 def integer_coords(values):
     """Rationals (Fraction or int) as (ints, d): d is the lcm of their
     denominators and values[k] == ints[k] / d."""
-    d = lcm(*(a.denominator for a in values))
+    d = lcm(*{a.denominator for a in values})
     return [a.numerator * (d // a.denominator) for a in values], d
 
 
-def _integer_rows(rows):
-    """Each row times the lcm of its entries' denominators: (integer rows, the lcms)."""
-    out, scales = [], []
-    for r in rows:
-        ints, scale = integer_coords(r)
-        out.append(ints)
-        scales.append(scale)
-    return out, scales
+class RowSpan:
+    """Row span of rational vectors, kept as the integer rows of its reduced
+    echelon basis: membership is pivot reduction, with no rank computed."""
 
+    __slots__ = ("rows",)
 
-def _fraction_matmul(a_rows, b_rows) -> Mat:
-    """Product of two Fraction matrices through one integer product.
+    def __init__(self, vectors):
+        vectors = [tuple(v) for v in vectors]
+        self.rows = ()
+        if vectors:
+            reduced, pivots, _ = Mat(vectors).rref()
+            ints, _ = reduced.core()
+            self.rows = tuple((pc, ints[i][pc], ints[i]) for i, pc in enumerate(pivots))
 
-    Row i of A is scaled by the lcm of its denominators and column j of B
-    by the lcm of its own, so entry (i, j) is one integer dot product over
-    the product of the two scales.
-    """
-    a_int, a_scales = _integer_rows(a_rows)
-    b_int, b_scales = _integer_rows(list(zip(*b_rows)))
-    return Mat([
-        [_ratio(sum(map(mul, ar, bc)), da * db) for bc, db in zip(b_int, b_scales)]
-        for ar, da in zip(a_int, a_scales)
-    ])
+    def contains(self, vector) -> bool:
+        """Whether ``vector`` lies in the span: its residual after clearing
+        each pivot column, in pivot order, vanishes."""
+        v, _ = integer_coords(vector)
+        for pc, pv, row in self.rows:
+            f = v[pc]
+            if f:
+                v = [pv * a - f * b for a, b in zip(v, row)]
+        return not any(v)
 
 
 def span_contains(rows, vector) -> bool:
@@ -464,15 +606,15 @@ def span_contains(rows, vector) -> bool:
 def charpoly(m: Mat):
     """Coefficients (c1, ..., cn) of det(lambda*I - M) = lambda^n + c1*lambda^(n-1) + ... + cn.
 
-    Faddeev-LeVerrier recursion on the integer matrix dM, d the lcm of all
-    denominators: every step stays in the integers, the division by k is
-    exact there, and c_k(M) = c_k(dM) / d^k.
+    Faddeev-LeVerrier recursion on the integer core dM of M: every step
+    stays in the integers, the division by k is exact there, and
+    c_k(M) = c_k(dM) / d^k.
     """
     n = m.nrows
     if n != m.ncols:
         raise ValueError("characteristic polynomial of non-square matrix")
-    flat, d = integer_coords([a for r in m.rows for a in r])
-    a = [flat[i * n:(i + 1) * n] for i in range(n)]
+    ints, d = m._field_core()
+    a = [list(r) for r in ints]
     coeffs = []
     mk = a
     for k in range(1, n + 1):

@@ -13,6 +13,10 @@ Conventions
   the Killing form runs the same way on an integer copy of its Gram matrix.
 * The Killing Gram is computed from its definition tr(ad_x ad_y) on the
   integer bracket table; the 2n*tr(xy) identity is a test oracle only.
+* Matrices are built and read through their integer cores: the matrix of
+  a coordinate tuple is its integer-scaled entries over one denominator,
+  and coordinates are read back with one division each, so ``Ad``, ``exp``
+  and ``log`` build ``Fraction``s only for the coordinates they return.
 * Group elements are projective: two representatives are equal iff
   proportional, and the stored representative has its first nonzero entry
   (row-major) scaled to 1.
@@ -23,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from math import factorial
 
 from .exactnum import Mat, RationalStream, charpoly, integer_coords, sample_rational
@@ -71,50 +76,69 @@ class LieAlgebra:
         self.basis = tuple(self._basis_matrix(k) for k in range(self.dim))
         self._bracket_table = self._build_bracket_table()
         self._gram_ints = self._build_killing_gram()
-        self.killing_gram = Mat([[Fraction(a) for a in r] for r in self._gram_ints])
+        self.killing_gram = Mat.from_core(self._gram_ints, 1)
         self._gram_inverse = self.killing_gram.inverse()
 
     def _basis_matrix(self, k: int) -> Mat:
         kind, data = self._layout[k]
         n = self.n
-        m = [[Fraction(0)] * n for _ in range(n)]
+        m = [[0] * n for _ in range(n)]
         if kind == "E":
             i, j = data
-            m[i][j] = Fraction(1)
+            m[i][j] = 1
         else:
             i = data
-            m[i][i] = Fraction(1)
-            m[i + 1][i + 1] = Fraction(-1)
-        return Mat(m)
+            m[i][i] = 1
+            m[i + 1][i + 1] = -1
+        return Mat.from_core(m, 1)
 
     def coords_from_matrix(self, m: Mat):
-        """Coordinates of a trace-zero matrix in the basis; exact and closed-form."""
+        """Coordinates of a trace-zero matrix in the basis; exact and closed-form.
+
+        A rational matrix is read from its integer core, with one division
+        per coordinate; other entries (Laurent curves) are read as they are.
+        """
+        core = m.core()
+        if core is None:
+            return self._coords_from_entries(m.rows)
+        ints, d = core
+        diagonal = list(accumulate(ints[k][k] for k in range(self.n)))
+        if diagonal[-1]:
+            raise LieAlgebraError("matrix has nonzero trace")
+        coords = []
+        for kind, data in self._layout:
+            v = ints[data[0]][data[1]] if kind == "E" else diagonal[data]
+            coords.append(Fraction(v, d) if v else _ZERO)
+        return tuple(coords)
+
+    def _coords_from_entries(self, rows):
         n = self.n
-        if sum(m.rows[i][i] for i in range(n)) != 0:
+        if sum(rows[i][i] for i in range(n)) != 0:
             raise LieAlgebraError("matrix has nonzero trace")
         coords = []
         for kind, data in self._layout:
             if kind == "E":
                 i, j = data
-                coords.append(m.rows[i][j])
+                coords.append(rows[i][j])
             else:
-                i = data
-                coords.append(sum((m.rows[k][k] for k in range(i + 1)), Fraction(0)))
+                coords.append(sum((rows[k][k] for k in range(data + 1)), Fraction(0)))
         return tuple(coords)
 
     def matrix_from_coords(self, coords) -> Mat:
-        """The trace-zero matrix: E_ij coordinates in place, diagonal entry i
-        equal to h_i - h_(i-1) (h_0 first, -h_(n-2) last)."""
+        """The trace-zero matrix as an integer core: E_ij coordinates in
+        place, diagonal entry i equal to h_i - h_(i-1) (h_0 first, -h_(n-2)
+        last), all over the lcm of the coordinates' denominators."""
         n = self.n
-        rows = [[_ZERO] * n for _ in range(n)]
+        ints, d = integer_coords(coords)
+        rows = [[0] * n for _ in range(n)]
         for k, (i, j) in self._roots:
-            rows[i][j] = coords[k]
-        h = coords[self._cartan_start:self._cartan_start + n - 1]
+            rows[i][j] = ints[k]
+        h = ints[self._cartan_start:self._cartan_start + n - 1]
         rows[0][0] = h[0]
         for i in range(1, n - 1):
             rows[i][i] = h[i] - h[i - 1]
         rows[n - 1][n - 1] = -h[n - 2]
-        return Mat(rows)
+        return Mat.from_core(rows, d)
 
     def _build_bracket_table(self):
         table = []
@@ -137,6 +161,11 @@ class LieAlgebra:
         output coordinate is divided once by the two scales."""
         xs, dx = integer_coords(x)
         ys, dy = integer_coords(y)
+        d = dx * dy
+        return tuple(Fraction(v, d) if v else _ZERO for v in self._bracket_ints(xs, ys))
+
+    def _bracket_ints(self, xs, ys):
+        """The bracket of two integer coordinate lists, in ints."""
         acc = [0] * self.dim
         nonzero_y = [(j, b) for j, b in enumerate(ys) if b]
         for i, a in enumerate(xs):
@@ -148,13 +177,20 @@ class LieAlgebra:
                 for k, s in enumerate(row[j]):
                     if s:
                         acc[k] += c * s
-        d = dx * dy
-        return tuple(Fraction(v, d) if v else _ZERO for v in acc)
+        return acc
 
     def ad_matrix(self, x: "Element") -> Mat:
-        """Matrix of ad_x = [x, .] in basis coordinates (columns are [x, b_j])."""
-        cols = [self.bracket_coords(x.coords, self._unit(j)) for j in range(self.dim)]
-        return Mat(list(zip(*cols)))
+        """Matrix of ad_x = [x, .] in basis coordinates (columns are [x, b_j]),
+        built as an integer core from the bracket table."""
+        xs, d = integer_coords(x.coords)
+        rows = [[0] * self.dim for _ in range(self.dim)]
+        for a, cols in zip(xs, self._bracket_table):
+            if a:
+                for j, col in enumerate(cols):
+                    for k, s in enumerate(col):
+                        if s:
+                            rows[k][j] += a * s
+        return Mat.from_core(rows, d)
 
     def _unit(self, j: int):
         return tuple(Fraction(1) if k == j else Fraction(0) for k in range(self.dim))
@@ -343,10 +379,13 @@ class GroupElement:
 
 
 def _normalize_projective(m: Mat) -> Mat:
-    for r in m.rows:
+    """The representative whose first nonzero entry (row-major) is 1: the
+    integer core over that entry's integer."""
+    ints, _ = m.core()
+    for r in ints:
         for a in r:
             if a:
-                return m.scale(1 / a)
+                return Mat.from_core(ints, a)
     raise LieAlgebraError("zero matrix cannot be normalized")
 
 
@@ -356,7 +395,7 @@ def Ad(g: GroupElement, x: Element) -> Element:
     return x.algebra.element_from_matrix(conj)
 
 
-def exp_nilpotent(x: Element) -> GroupElement:
+def exp_nilpotent_matrix(x: Element) -> Mat:
     """exp of a nilpotent matrix as the finite sum; rejects non-nilpotent input."""
     m = x.matrix()
     n = x.algebra.n
@@ -369,7 +408,35 @@ def exp_nilpotent(x: Element) -> GroupElement:
         acc = acc + power.scale(Fraction(1, factorial(k)))
     else:
         raise LieAlgebraError("exp is only provided for nilpotent arguments")
-    return GroupElement(x.algebra, acc)
+    return acc
+
+
+def exp_nilpotent(x: Element) -> GroupElement:
+    """exp of a nilpotent element, as a group element."""
+    return GroupElement(x.algebra, exp_nilpotent_matrix(x))
+
+
+def exp_ad(z: Element, x: Element) -> Element:
+    """Ad(exp z) x = exp(ad z) x as the finite series of brackets
+    sum_k ad_z^k x / k!; rejects z whose ad_z is not nilpotent on x.
+
+    The series runs on integer coordinates: with z = zs / dz, the partial
+    sum is acc / den and the k-th term is term / den, and the next term
+    ad_z(term / den) / (k + 1) is ad_zs(term) over den * dz * (k + 1).
+    """
+    alg = x.algebra
+    x._check(z)
+    zs, dz = integer_coords(z.coords)
+    acc, den = integer_coords(x.coords)
+    term = acc
+    for k in range(1, alg.dim + 2):
+        term = alg._bracket_ints(zs, term)
+        if not any(term):
+            return Element(alg, tuple(Fraction(v, den) if v else _ZERO for v in acc))
+        step = dz * k
+        den *= step
+        acc = [a * step + t for a, t in zip(acc, term)]
+    raise LieAlgebraError("exp(ad z) is only provided for ad-nilpotent z")
 
 
 def log_unipotent(g: GroupElement) -> Element:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .exactnum import Mat, span_contains
+from .exactnum import Mat, RowSpan
 from .liecore import (
     Ad,
     Element,
@@ -26,7 +26,8 @@ from .liecore import (
     bracket,
     centralizer,
     chi,
-    exp_nilpotent,
+    exp_ad,
+    exp_nilpotent_matrix,
     is_regular,
     log_unipotent,
 )
@@ -168,8 +169,10 @@ def grading(triple: Sl2Triple) -> Grading:
 class SlodowySlice:
     """S_tau = xi + g_eta together with the parabolic data of the triple.
 
-    Data that depends on the slice alone (the graded pieces of g_eta and
-    principality) is computed on first use and kept on the slice.
+    Data that depends on the slice alone (the graded pieces of g_eta,
+    principality, the echelon bases that membership reduces against and
+    the conjugation plan) is computed on first use and kept on the slice;
+    none of it enters equality.
     """
 
     triple: Sl2Triple
@@ -195,10 +198,7 @@ class SlodowySlice:
         return self.algebra.dim - len(self.directions)
 
     def contains(self, y: Element) -> bool:
-        diff = y - self.base
-        if not self.directions:
-            return diff.is_zero()
-        return span_contains([d.coords for d in self.directions], diff.coords)
+        return self._direction_span.contains((y - self.base).coords)
 
     def point(self, coeffs) -> Element:
         coeffs = tuple(coeffs)
@@ -220,10 +220,23 @@ class SlodowySlice:
         return is_regular(t.xi) and is_regular(t.h) and is_regular(t.eta)
 
     def in_xi_plus_parabolic(self, y: Element) -> bool:
-        diff = y - self.base
-        if not self.parabolic:
-            return diff.is_zero()
-        return span_contains([b.coords for b in self.parabolic], diff.coords)
+        return self._parabolic_span.contains((y - self.base).coords)
+
+    @cached_property
+    def _direction_span(self) -> RowSpan:
+        return RowSpan(d.coords for d in self.directions)
+
+    @cached_property
+    def _parabolic_span(self) -> RowSpan:
+        return RowSpan(b.coords for b in self.parabolic)
+
+    @cached_property
+    def _stabilizer_span(self) -> RowSpan:
+        return RowSpan(b.coords for b in self.stabilizer_nilradical)
+
+    @cached_property
+    def _conjugation_plan(self) -> tuple:
+        return _conjugation_plan(self)
 
 
 def slodowy_slice(triple: Sl2Triple) -> SlodowySlice:
@@ -265,14 +278,70 @@ class SliceConjugation:
     s: Element
 
 
+@dataclass(frozen=True)
+class _DegreeStep:
+    """One degree nu <= 0 of the conjugation sweep.
+
+    ``rows`` maps coordinates to the graded coordinates of degree nu (the
+    ``_to_graded`` rows of that degree).  ``lift`` is the block of the
+    inverse of the square system [g_eta & g_nu | [g_(nu-2), xi]] (columns
+    in graded coordinates) that gives the g_(nu-2) part, and ``z_columns``
+    has the basis of g_(nu-2) as its columns.
+    """
+
+    rows: Mat
+    lift: Mat
+    z_columns: Mat
+
+
+def _conjugation_plan(slc: SlodowySlice) -> tuple:
+    """The degree steps of ``conjugate_to_slice``, certified once per slice.
+
+    For nu <= 0, ad_xi maps g_(nu-2) injectively into g_nu and its image is
+    a complement of the lowest weight vectors g_eta & g_nu (sl2
+    representation theory), so the system of each degree is square and
+    invertible; a system that is not is an InternalCheckError.  Degrees
+    without a g_(nu-2) lie in g_eta and need no step.
+    """
+    grad = slc.grading
+    xi = slc.triple.xi
+    to_graded, d = grad._to_graded.core()
+    steps = []
+    for nu in range(0, min(grad.eigenvalues) - 1, -1):
+        if nu not in grad.eigenspaces:
+            continue
+        start, basis = grad._slices[nu]
+        rows = Mat.from_core(to_graded[start:start + len(basis)], d)
+        eta_part = _eta_section(slc, nu)
+        z_basis = grad.eigenspaces.get(nu - 2, [])
+        columns = [rows.apply(b.coords) for b in eta_part]
+        columns += [rows.apply(bracket(z, xi).coords) for z in z_basis]
+        if len(columns) != len(basis):
+            raise InternalCheckError(f"degree {nu} system is not square")
+        try:
+            inverse = Mat(list(zip(*columns))).inverse()
+        except ValueError:
+            raise InternalCheckError(f"degree {nu} system is singular") from None
+        if z_basis:
+            lift, den = inverse.core()
+            steps.append(_DegreeStep(
+                rows,
+                Mat.from_core(lift[len(eta_part):], den),
+                Mat(list(zip(*(z.coords for z in z_basis)))),
+            ))
+    return tuple(steps)
+
+
 def conjugate_to_slice(slc: SlodowySlice, y: Element) -> SliceConjugation:
     """Unique (u, s) with u in (U_tau)_xi, s in S_tau and Ad(u, s) = y.
 
     Graded successive elimination: sweeping the defect degree nu from 0 down,
-    the off-g_eta part of the degree-nu defect is cancelled by one exact
-    linear solve for a correction z in degree nu - 2 of (u_tau)_xi; the
-    update pollutes only degrees <= nu - 2, so a single sweep terminates.
-    Both membership conditions are re-verified before returning.
+    the off-g_eta part of the degree-nu defect is cancelled by a correction
+    z in degree nu - 2 of (u_tau)_xi, read off through the slice's cached
+    inverse of that degree; the update s <- exp(-ad z) s pollutes only
+    degrees <= nu - 2, so a single sweep terminates.  u is the product of
+    the exp(z), made a group element once.  Both membership conditions and
+    Ad(u, s) = y are re-verified on the group side before returning.
     """
     alg = slc.algebra
     triple = slc.triple
@@ -281,45 +350,26 @@ def conjugate_to_slice(slc: SlodowySlice, y: Element) -> SliceConjugation:
     if not slc.in_xi_plus_parabolic(y):
         raise SliceError("element is not in xi + p_tau")
 
-    grad = slc.grading
     xi = triple.xi
-    eta_sections = {
-        lam: _eta_section(slc, lam) for lam in grad.eigenvalues if lam <= 0
-    }
-    u = GroupElement.identity(alg)
+    product = Mat.identity(alg.n)
     s = y
-    for nu in range(0, min(grad.eigenvalues) - 1, -1):
-        defect = grad.component(s - xi, nu)
-        if defect.is_zero():
+    for step in slc._conjugation_plan:
+        defect = step.rows.apply((s - xi).coords)
+        if not any(defect):
             continue
-        eta_part = eta_sections.get(nu, ())
-        z_basis = grad.eigenspaces.get(nu - 2, [])
-        if not z_basis and not eta_part:
-            raise InternalCheckError(f"defect in empty degree {nu}")
-        # Solve defect = r + [z, xi] with r in g_eta (degree nu), z in g_(nu-2).
-        columns = [b.coords for b in eta_part]
-        columns += [bracket(z, xi).coords for z in z_basis]
-        sol = Mat(list(zip(*columns))).solve(defect.coords)
-        if sol is None:
-            raise InternalCheckError(f"degree {nu} defect is outside g_eta + [g, xi]")
-        z = alg.zero()
-        for c, b in zip(sol[len(eta_part):], z_basis):
-            z = z + c * b
+        z = Element(alg, step.z_columns.apply(step.lift.apply(defect)))
         if z.is_zero():
             continue
-        step = exp_nilpotent(z)
-        u = u * step
-        s = Ad(step.inverse(), s)
+        product = product @ exp_nilpotent_matrix(z)
+        s = exp_ad(-z, s)
+    u = GroupElement(alg, product)
 
     if not slc.contains(s):
         raise InternalCheckError("conjugated point left the slice")
     if Ad(u, s) != y:
         raise InternalCheckError("Ad(u, s) != y after elimination")
     if slc.stabilizer_nilradical:
-        logs = log_unipotent(u)
-        if not span_contains(
-            [b.coords for b in slc.stabilizer_nilradical], logs.coords
-        ):
+        if not slc._stabilizer_span.contains(log_unipotent(u).coords):
             raise InternalCheckError("u is not in (U_tau)_xi")
     elif u != GroupElement.identity(alg):
         raise InternalCheckError("u should be trivial for this triple")

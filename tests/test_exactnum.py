@@ -4,17 +4,21 @@ from itertools import combinations
 from math import lcm, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from slicelab import exactnum
 from slicelab.exactnum import (
     LaurentPoly,
     Mat,
+    RowSpan,
     charpoly,
     lowest_minor_coefficients,
     maximal_minors,
     sample_rational,
     span_contains,
 )
-from slicelab.liecore import lie_algebra, sample_element
+from slicelab.liecore import kappa, killing_covector, lie_algebra, sample_element
 
 
 def frac_mat(rows):
@@ -497,3 +501,226 @@ class TestIntegerKernelEdges:
         assert Mat(a) @ Mat(b) == Mat(expected)
         mixed = Mat([[Fraction(1), Fraction(2)]]) @ Mat([[t], [LaurentPoly.const(3)]])
         assert mixed == Mat([[LaurentPoly(0, [6, 1])]])
+
+
+# --- The integer core of Mat against plain Fraction oracles ------------------
+
+PROPS = settings(derandomize=True, deadline=None, max_examples=80, database=None)
+
+# Mixed int and Fraction entries, zeros included.
+entries = st.one_of(
+    st.integers(-20, 20),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+)
+
+
+def rows_of(nrows, ncols):
+    return st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows)
+
+
+sizes = st.integers(0, 4)
+
+
+@st.composite
+def one_matrix(draw, square=False):
+    nr = draw(sizes)
+    return draw(rows_of(nr, nr if square else draw(sizes)))
+
+
+@st.composite
+def same_shape_pair(draw):
+    nr, nc = draw(sizes), draw(sizes)
+    return draw(rows_of(nr, nc)), draw(rows_of(nr, nc))
+
+
+@st.composite
+def product_pair(draw):
+    # a matrix without rows has no width, so both inner sizes are at least 1
+    nr, nk, nc = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(sizes)
+    return draw(rows_of(nr, nk)), draw(rows_of(nk, nc))
+
+
+def fractions_of(rows):
+    return [[Fraction(a) for a in r] for r in rows]
+
+
+def assert_fraction_mat(m, rows):
+    """m has exactly these entries, all of them Fractions, and its core is
+    the unique one in lowest terms, so that it equals the row-built matrix."""
+    assert m.rows == tuple(tuple(r) for r in fractions_of(rows))
+    assert all(type(a) is Fraction for r in m.rows for a in r)
+    assert m.core() == Mat(m.rows).core()
+    assert m == Mat(rows)
+
+
+def via_core(rows):
+    """The same matrix, built from an unreduced core with a negative denominator."""
+    d = lcm(*(Fraction(a).denominator for r in rows for a in r))
+    return Mat.from_core(
+        [[-3 * int(Fraction(a) * d) for a in r] for r in rows], -3 * d
+    ) if rows else Mat([])
+
+
+class TestIntegerCoreAgainstFractionOracles:
+    @PROPS
+    @given(product_pair())
+    def test_product(self, pair):
+        a, b = pair
+        got = Mat(a) @ Mat(b)
+        assert got.nrows == len(a)
+        assert got == Mat(triple_loop_product(fractions_of(a), fractions_of(b)))
+        assert got == via_core(a) @ via_core(b)
+        assert all(type(x) is Fraction for r in got.rows for x in r)
+
+    @PROPS
+    @given(same_shape_pair(), entries)
+    def test_sum_difference_and_scale(self, pair, c):
+        a, b = pair
+        fa, fb = fractions_of(a), fractions_of(b)
+        assert_fraction_mat(Mat(a) + Mat(b), [[x + y for x, y in zip(*r)] for r in zip(fa, fb)])
+        assert_fraction_mat(Mat(a) - Mat(b), [[x - y for x, y in zip(*r)] for r in zip(fa, fb)])
+        assert_fraction_mat(Mat(a).scale(c), [[Fraction(c) * x for x in r] for r in fa])
+        assert_fraction_mat(-Mat(a), [[-x for x in r] for r in fa])
+        assert via_core(a) - via_core(b) == Mat(a) - Mat(b)
+
+    @PROPS
+    @given(one_matrix(square=True))
+    def test_det_and_inverse(self, rows):
+        n = len(rows)
+        fr = fractions_of(rows)
+        m = Mat(rows)
+        det = laplace_det(fr)
+        assert m.det() == det == via_core(rows).det()
+        assert type(m.det()) is Fraction
+        if det == 0:
+            with pytest.raises(ValueError):
+                m.inverse()
+            return
+        aug = [r + [Fraction(int(i == j)) for j in range(n)] for i, r in enumerate(fr)]
+        reduced, _, _ = gauss_jordan_oracle(aug, 2 * n)
+        inverse = m.inverse()
+        assert_fraction_mat(inverse, [r[n:] for r in reduced])
+        assert via_core(rows).inverse() == inverse
+
+    @PROPS
+    @given(one_matrix())
+    def test_rref(self, rows):
+        nc = len(rows[0]) if rows else 0
+        reduced, pivots, rank = gauss_jordan_oracle(fractions_of(rows), nc)
+        got, got_pivots, got_rank = Mat(rows).rref()
+        assert (got_pivots, got_rank) == (pivots, rank)
+        assert_fraction_mat(got, reduced)
+        assert via_core(rows).rref() == (got, pivots, rank)
+
+    @PROPS
+    @given(one_matrix(), st.data())
+    def test_solve_and_apply(self, rows, data):
+        nr = len(rows)
+        nc = len(rows[0]) if rows else 0
+        fr = fractions_of(rows)
+        x = data.draw(st.lists(entries, min_size=nc, max_size=nc))
+        image = [sum((a * Fraction(v) for a, v in zip(r, x)), Fraction(0)) for r in fr]
+        assert Mat(rows).apply(x) == tuple(image) == via_core(rows).apply(x)
+        assert all(type(v) is Fraction for v in Mat(rows).apply(x))
+        rhs = data.draw(st.lists(entries, min_size=nr, max_size=nr))
+        for b in (image, rhs):
+            aug = [r + [Fraction(v)] for r, v in zip(fr, b)]
+            reduced, pivots, _ = gauss_jordan_oracle(aug, nc + 1)
+            got = Mat(rows).solve(b)
+            if nc in pivots:
+                assert got is None
+                continue
+            expected = [Fraction(0)] * nc
+            for r, pc in enumerate(pivots):
+                expected[pc] = reduced[r][nc]
+            assert got == tuple(expected)
+            assert via_core(rows).solve(b) == got
+
+    @PROPS
+    @given(one_matrix(), st.integers(-5, 5).filter(bool), st.integers(1, 4))
+    def test_core_built_equals_row_built(self, rows, d, k):
+        ints = [[int(Fraction(a) * 12) for a in r] for r in rows]
+        by_core = Mat.from_core([[k * a for a in r] for r in ints], k * d)
+        by_rows = Mat([[Fraction(a, d) for a in r] for r in ints])
+        assert by_core == by_rows and by_rows == by_core
+        assert hash(by_core) == hash(by_rows)
+        assert by_core.core() == by_rows.core()
+        assert by_core.core()[1] > 0
+        assert_fraction_mat(by_core, by_rows.rows)
+        assert (by_core.nrows, by_core.ncols) == (by_rows.nrows, by_rows.ncols)
+        assert by_core.is_zero() == all(a == 0 for r in ints for a in r)
+
+
+class TestIntegerCoreEdges:
+    def test_zero_and_empty_matrices(self):
+        assert Mat.zeros(2, 3) == frac_mat([[0, 0, 0], [0, 0, 0]])
+        assert Mat.zeros(2, 3).is_zero() and Mat.zeros(0, 3) == Mat([])
+        assert Mat.from_core([[0, 0]], 7) == Mat.from_core([[0, 0]], -1) == frac_mat([[0, 0]])
+        assert Mat.from_core([[0, 0]], 7).core() == (((0, 0),), 1)
+        assert Mat.from_core([], 5) == Mat([]) and Mat.from_core([], 5).det() == 1
+        assert Mat([]).inverse() == Mat([]) and Mat([]).rref() == (Mat([]), (), 0)
+        assert Mat([[], []]).kernel() == [] and Mat([[], []]).solve([0, 0]) == ()
+        assert Mat([[], []]).solve([1, 2]) is None
+        assert Mat.zeros(3, 3).rank() == 0 and Mat.zeros(3, 3).det() == 0
+        with pytest.raises(ZeroDivisionError):
+            Mat.from_core([[1]], 0)
+        with pytest.raises(ValueError, match="ragged"):
+            Mat.from_core([[1], [1, 2]], 1)
+
+    def test_mixed_entries_are_rationals(self):
+        m = Mat([[2, Fraction(1, 2)], [Fraction(-3, 4), 1]])
+        assert m.core() == (((8, 2), (-3, 4)), 4)
+        assert_fraction_mat(m @ Mat.identity(2), [[2, Fraction(1, 2)], [Fraction(-3, 4), 1]])
+        assert m.scale(Fraction(2, 3)) == m.scale(2).scale(Fraction(1, 3))
+
+    def test_laurent_entries_have_no_core(self):
+        t = LaurentPoly.t_power(1)
+        curve = Mat([[t, LaurentPoly.const(1)], [LaurentPoly.zero(), t]])
+        assert curve.core() is None
+        with pytest.raises(TypeError):
+            curve.rref()
+        assert curve @ Mat.identity(2) == curve
+
+    def test_core_is_computed_once(self, monkeypatch):
+        calls = []
+        original = exactnum._core_of
+
+        def counting(rows):
+            calls.append(rows)
+            return original(rows)
+
+        monkeypatch.setattr(exactnum, "_core_of", counting)
+        alg = lie_algebra(3)
+        x = sample_element(alg, 5, 0)
+        gram = Mat(alg.killing_gram.rows)
+        assert gram.apply(x.coords) == gram.apply(x.coords) == killing_covector(x)
+        assert len(calls) == 1
+        # the Gram matrix and its inverse are built from integer cores:
+        # applying them computes no core
+        killing_covector(x)
+        kappa(alg, killing_covector(x))
+        assert len(calls) == 1
+
+
+class TestRowSpan:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_membership_against_span_contains(self, seed):
+        rng = random.Random(seed)
+        nc = rng.randint(1, 8)
+        rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nc)]
+                for _ in range(rng.randint(0, nc))]
+        span = RowSpan(rows)
+        for _ in range(12):
+            coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in rows]
+            inside = [sum((c * r[j] for c, r in zip(coeffs, rows)), Fraction(0))
+                      for j in range(nc)]
+            other = [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(nc)]
+            assert span.contains(inside) and span_contains(rows, inside)
+            assert span.contains(other) == span_contains(rows, other)
+
+    def test_missing_vector_is_rejected(self):
+        rows = [(1, 0, 2), (0, 1, 1), (1, 1, 0)]
+        assert RowSpan(rows).contains((2, 3, 5))
+        assert not RowSpan(rows[:2]).contains(rows[2])
+        assert RowSpan([]).contains((0, 0)) and not RowSpan([]).contains((0, 1))

@@ -12,6 +12,7 @@ from slicelab.liecore import (
     bracket,
     centralizer,
     chi,
+    exp_ad,
     exp_nilpotent,
     is_regular,
     kappa,
@@ -317,6 +318,37 @@ class TestAd:
         z = sl3.named("E21") + Fraction(3, 2) * sl3.named("E31")
         g = exp_nilpotent(z)
         assert log_unipotent(g) == z
+
+
+class TestIntegerCores:
+    def test_int_entry_group_element_is_exact(self):
+        sl2 = lie_algebra(2)
+        g = GroupElement(sl2, Mat([[2, 1], [1, 1]]))
+        assert g == GroupElement(sl2, frac_mat([[2, 1], [1, 1]]))
+        half = Fraction(1, 2)
+        assert g.matrix.rows == ((Fraction(1), half), (half, half))
+        assert all(type(a) is Fraction for r in g.matrix.rows for a in r)
+        assert g.inverse_matrix() == frac_mat([[2, -2], [-2, 4]])
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_ad_matrix_against_commutators(self, n):
+        alg = lie_algebra(n)
+        for i in range(5):
+            x = sample_element(alg, 67, i)
+            assert alg.ad_matrix(x) == ad_matrix_oracle(alg, x.matrix())
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_exp_ad_is_ad_of_exp(self, n):
+        alg = lie_algebra(n)
+        lower = [k for k, name in enumerate(alg.basis_names)
+                 if name[0] == "E" and name[1] > name[2]]
+        for i in range(5):
+            z = alg.element([sample_rational(71, i * alg.dim + k) if k in lower else 0
+                             for k in range(alg.dim)])
+            x = sample_element(alg, 73, i)
+            assert exp_ad(z, x) == Ad(exp_nilpotent(z), x)
+        with pytest.raises(LieAlgebraError):
+            exp_ad(alg.named("H1"), alg.named("E12"))
 
 
 class TestGroupElementInverseCache:

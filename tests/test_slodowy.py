@@ -1,8 +1,9 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from slicelab.exactnum import Mat, sample_rational
+from slicelab.exactnum import Mat, RowSpan, sample_rational, span_contains
 from slicelab.liecore import (
     Ad,
     GroupElement,
@@ -17,6 +18,7 @@ from slicelab.liecore import (
 from slicelab import slodowy
 from slicelab.liecore import LieAlgebra
 from slicelab.slodowy import (
+    InternalCheckError,
     SliceError,
     Sl2Triple,
     chi_section,
@@ -29,6 +31,7 @@ from slicelab.slodowy import (
     verify_triple,
     zero_triple,
 )
+from slicelab.suites import _SLICE_CASES
 
 
 def frac_mat(rows):
@@ -367,3 +370,127 @@ class TestChiSection:
             if value in seen:
                 assert seen[value] == coeffs
             seen[value] = coeffs
+
+
+# --- The per-slice conjugation plan -------------------------------------------
+
+
+def elimination_oracle(slc, y):
+    """The per-call elimination the conjugation plan replaced: one exact
+    solve per degree in full coordinates, and one group-side Ad per step."""
+    alg = slc.algebra
+    if slc.triple.is_zero():
+        return GroupElement.identity(alg), y
+    grad = slc.grading
+    xi = slc.triple.xi
+    u = GroupElement.identity(alg)
+    s = y
+    for nu in range(0, min(grad.eigenvalues) - 1, -1):
+        defect = grad.component(s - xi, nu)
+        if defect.is_zero():
+            continue
+        eta_part = slodowy._eta_section(slc, nu)
+        z_basis = grad.eigenspaces.get(nu - 2, [])
+        columns = [b.coords for b in eta_part] + [bracket(z, xi).coords for z in z_basis]
+        sol = Mat(list(zip(*columns))).solve(defect.coords)
+        assert sol is not None
+        z = alg.zero()
+        for c, b in zip(sol[len(eta_part):], z_basis):
+            z = z + c * b
+        if z.is_zero():
+            continue
+        step = exp_nilpotent(z)
+        u = u * step
+        s = Ad(step.inverse(), s)
+    return u, s
+
+
+PLAN_CASES = list(_SLICE_CASES) + [(3, (1, 1, 1))]
+
+
+def plan_slice(n, partition):
+    return slodowy_slice(standard_triple(lie_algebra(n), partition))
+
+
+class TestConjugationPlan:
+    @pytest.mark.parametrize("n,partition", PLAN_CASES)
+    def test_matches_the_per_call_elimination(self, n, partition):
+        slc = plan_slice(n, partition)
+        for i in range(30):
+            y = sample_in_xi_plus_parabolic(slc, 79 + n, i)
+            res = conjugate_to_slice(slc, y)
+            assert (res.u, res.s) == elimination_oracle(slc, y)
+
+    @pytest.mark.parametrize("n,partition", _SLICE_CASES)
+    def test_every_wrong_inverse_entry_is_caught(self, n, partition):
+        y = sample_in_xi_plus_parabolic(plan_slice(n, partition), 83, 0)
+        plan = plan_slice(n, partition)._conjugation_plan
+        assert plan
+        for k, step in enumerate(plan):
+            ints, d = step.lift.core()
+            for i, row in enumerate(ints):
+                for j in range(len(row)):
+                    planted = [list(r) for r in ints]
+                    planted[i][j] += d
+                    wrong = dataclasses.replace(step, lift=Mat.from_core(planted, d))
+                    slc = plan_slice(n, partition)
+                    slc.__dict__["_conjugation_plan"] = plan[:k] + (wrong,) + plan[k + 1:]
+                    with pytest.raises(InternalCheckError):
+                        conjugate_to_slice(slc, y)
+
+    def test_degree_systems_are_certified(self):
+        slc = plan_slice(3, (3,))
+        y = sample_in_xi_plus_parabolic(slc, 89, 0)
+        eta = slodowy._eta_section(slc, -2)
+        assert len(eta) == 1
+        # without its g_eta part the degree -2 system is not square
+        slc._eta_sections[-2] = ()
+        with pytest.raises(InternalCheckError, match="not square"):
+            conjugate_to_slice(slc, y)
+        # with [z, xi] in place of the g_eta part it is square but singular
+        slc = plan_slice(3, (3,))
+        z = slc.grading.eigenspaces[-4][0]
+        slc._eta_sections[-2] = (bracket(z, slc.base),)
+        with pytest.raises(InternalCheckError, match="singular"):
+            conjugate_to_slice(slc, y)
+
+    @pytest.mark.parametrize("n,partition", _SLICE_CASES)
+    def test_missing_span_vector_is_rejected(self, n, partition):
+        slc = plan_slice(n, partition)
+        for k, d in enumerate(slc.directions):
+            assert slc.contains(slc.base + d)
+            others = slc.directions[:k] + slc.directions[k + 1:]
+            slc.__dict__["_direction_span"] = RowSpan(e.coords for e in others)
+            assert not slc.contains(slc.base + d)
+            del slc.__dict__["_direction_span"]
+        for k, b in enumerate(slc.parabolic):
+            others = slc.parabolic[:k] + slc.parabolic[k + 1:]
+            slc.__dict__["_parabolic_span"] = RowSpan(e.coords for e in others)
+            assert not slc.in_xi_plus_parabolic(slc.base + b)
+            del slc.__dict__["_parabolic_span"]
+
+    @pytest.mark.parametrize("n,partition", PLAN_CASES)
+    def test_membership_against_span_contains(self, n, partition):
+        slc = plan_slice(n, partition)
+        alg = slc.algebra
+        spans = ((slc.contains, slc.directions), (slc.in_xi_plus_parabolic, slc.parabolic))
+        for i in range(20):
+            outside = sample_element(alg, 97, i)
+            for member, basis in spans:
+                rows = [b.coords for b in basis]
+                inside = slc.base
+                for k, b in enumerate(basis):
+                    inside = inside + sample_rational(101, i * alg.dim + k) * b
+                assert member(inside) and span_contains(rows, (inside - slc.base).coords)
+                expected = span_contains(rows, (outside - slc.base).coords)
+                assert member(outside) == expected
+
+    def test_plan_is_built_once_and_stays_out_of_equality(self):
+        slc = plan_slice(3, (2, 1))
+        fresh = plan_slice(3, (2, 1))
+        y = sample_in_xi_plus_parabolic(slc, 103, 0)
+        conjugate_to_slice(slc, y)
+        plan = slc._conjugation_plan
+        conjugate_to_slice(slc, y)
+        assert slc._conjugation_plan is plan
+        assert slc == fresh
