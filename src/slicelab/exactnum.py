@@ -571,32 +571,34 @@ def integer_coords(values):
 
 
 class RowSpan:
-    """Row span of rational vectors, kept as the integer rows of its reduced
-    echelon basis: membership is pivot reduction, with no rank computed."""
+    """Row span of rational vectors, the package's one echelon type: the core
+    ``ints / d`` of its reduced echelon basis, each row with ``d`` at its own
+    pivot column (in ``pivots``) and 0 at the other pivots."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("pivots", "ints", "d")
 
     def __init__(self, vectors):
-        vectors = [tuple(v) for v in vectors]
-        self.rows = ()
-        if vectors:
-            reduced, pivots, _ = Mat(vectors).rref()
-            ints, _ = reduced.core()
-            self.rows = tuple((pc, ints[i][pc], ints[i]) for i, pc in enumerate(pivots))
+        reduced, self.pivots, rank = Mat(vectors).rref()
+        ints, self.d = reduced.core()
+        self.ints = ints[:rank]
+
+    def residual(self, vector) -> list:
+        """d * vector minus its pivot entries times the basis rows: linear in
+        ``vector`` and zero exactly on the span."""
+        out = [self.d * a for a in vector]
+        for pc, row in zip(self.pivots, self.ints):
+            f = vector[pc]
+            if f:
+                out = [a - f * b for a, b in zip(out, row)]
+        return out
 
     def contains(self, vector) -> bool:
-        """Whether ``vector`` lies in the span: its residual after clearing
-        each pivot column, in pivot order, vanishes."""
-        v, _ = integer_coords(vector)
-        for pc, pv, row in self.rows:
-            f = v[pc]
-            if f:
-                v = [pv * a - f * b for a, b in zip(v, row)]
-        return not any(v)
+        """Whether ``vector`` lies in the span: its residual vanishes."""
+        return not any(self.residual(integer_coords(vector)[0]))
 
 
 def span_contains(rows, vector) -> bool:
-    """Exact test that ``vector`` lies in the row span of ``rows``."""
+    """Exact span membership by two ranks, the reference for ``RowSpan``'s tests."""
     if not rows:
         return all(c == 0 for c in vector)
     base = Mat(rows)
@@ -629,7 +631,7 @@ def charpoly(m: Mat):
     return tuple(coeffs)
 
 
-def _minor_states(rows, reduce=None):
+def minor_states(rows, reduce=None):
     """Laplace expansion row by row, keyed by the bitmask of the columns used.
 
     After all rows, ``states[mask]`` is the maximal minor on the columns set
@@ -660,7 +662,7 @@ def _minor_states(rows, reduce=None):
 
 
 @lru_cache(maxsize=None)
-def _lex_masks(ncols: int, k: int) -> tuple:
+def lex_masks(ncols: int, k: int) -> tuple:
     """Column bitmasks of the k-subsets of range(ncols), in lexicographic order."""
     return tuple(sum(1 << c for c in cols) for cols in combinations(range(ncols), k))
 
@@ -673,8 +675,8 @@ def maximal_minors(rows, ncols: int, zero):
     """
     if not rows:
         raise ValueError("maximal minors of a matrix without rows")
-    states = _minor_states(rows)
-    return [states.get(mask, zero) for mask in _lex_masks(ncols, len(rows))]
+    states = minor_states(rows)
+    return [states.get(mask, zero) for mask in lex_masks(ncols, len(rows))]
 
 
 def lowest_minor_coefficients(rows, ncols: int):
@@ -723,14 +725,14 @@ def lowest_minor_coefficients(rows, ncols: int):
     p = 1
     while True:
         packed = [[_pack(s[:p], bits) for s in ints] for ints in series]
-        states = _minor_states(packed, None if p == 1 else _signed_low(p * bits))
+        states = minor_states(packed, None if p == 1 else _signed_low(p * bits))
         if states:
             lowest = min((v & -v).bit_length() - 1 for v in states.values()) // bits
             pos = lowest * bits
             term = _signed_low(bits)
             coeffs = [
                 term(states[m] >> pos) if m in states else 0
-                for m in _lex_masks(ncols, len(rows))
+                for m in lex_masks(ncols, len(rows))
             ]
             return valuation_sum + lowest, coeffs
         if p > width:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .exactnum import Mat, span_contains
+from .exactnum import Mat, RowSpan
 from .liecore import (
     Ad,
     Element,
@@ -394,9 +394,10 @@ def transversal_check(ambient: PointedBivector, tangent_basis) -> TransversalDec
     else:
         embedded = [tuple(Fraction(k == i) for k in range(dim)) for i in range(dim)]
     induced = []
+    span = RowSpan(tangent)
     for w in embedded:
         image = ambient.apply(w)
-        if tangent and not span_contains(tangent, image):
+        if not span.contains(image):
             raise AssertionError("P(T*Y) escaped TY on a successful decomposition")
         induced.append([_pair(w2, image) for w2 in embedded])
     return TransversalDecomposition(True, tangent, complement, Mat(induced).transpose(), None)

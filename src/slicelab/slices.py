@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .exactnum import Mat
+from .exactnum import Mat, RowSpan
 from .liecore import Ad, Element, GroupElement, bracket
 from .poissongeom import (
     MomentValue,
@@ -320,14 +320,14 @@ def compactified_fibre_pgl2(x: Element, slc: SlodowySlice) -> ProjectiveFibre:
 
 def _gamma_condition_rows(gamma: Subspace, basis_elements):
     """Linear conditions on b for (ad_b + 0) gamma to stay inside gamma,
-    as residuals of the moved basis pairs against the canonical basis."""
+    as residuals of the moved basis pairs against gamma's span (scaled by d)."""
     n = gamma.algebra.dim
     rows = []
     for y1, _ in gamma.rows_as_pairs():
         residuals = []
         for b in basis_elements:
             moved = tuple(bracket(b, y1).coords) + tuple(Fraction(0) for _ in range(n))
-            residuals.append(gamma.reduce(moved))
+            residuals.append(gamma.span.residual(moved))
         for p in range(2 * n):
             rows.append(tuple(res[p] for res in residuals))
     return rows
@@ -435,15 +435,8 @@ def group_stabilizer_pgl2(second: LogCotangentPoint, x: HamiltonianSpacePoint | 
         traceless = m - Mat.identity(2).scale(trace / 2)
         if not traceless.is_zero():
             out.append(alg.element_from_matrix(traceless))
-    if not out:
-        return []
-    rows = [e.coords for e in out]
-    return [Element(alg, v) for v in _row_space_basis(rows)]
-
-
-def _row_space_basis(rows):
-    reduced, _, rank = Mat(rows).rref()
-    return [reduced.rows[i] for i in range(rank)]
+    span = RowSpan(e.coords for e in out)
+    return [Element(alg, v) for v in Mat.from_core(span.ints, span.d).rows]
 
 
 def pgl2_model_matrix(gamma: Subspace) -> Mat:

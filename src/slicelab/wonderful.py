@@ -1,9 +1,10 @@
 """The wonderful compactification of PGL_n inside Gr(dim g, g + g).
 
-Points are n-dimensional subspaces of g + g, stored as their canonical
-reduced row echelon basis, which equality, hashing and membership read;
-normalized Plucker coordinates are computed from it on read, for the limit
-cross-check and the CLI output.  Group points are graphs {(Ad_g y, y)};
+Points are n-dimensional subspaces of g + g, stored as a ``RowSpan``, the
+package's one echelon type: equality and hashing read its basis, membership
+its residual, and normalized Plucker coordinates are computed from its
+integer core on read.  ``limit`` cross-checks its two routes on the integer
+nonzero minors of that core.  Group points are graphs {(Ad_g y, y)};
 boundary points are reached as exact limits of one-parameter curves with
 Laurent-polynomial entries.  Membership of an arbitrary subspace in the
 closure is not decided: a certificate (graph / limit / pgl2-model / action
@@ -15,12 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from .exactnum import (
     LaurentPoly,
     Mat,
+    RowSpan,
+    lex_masks,
     lowest_minor_coefficients,
     maximal_minors,
+    minor_states,
     sample_rational,
 )
 from .liecore import Ad, GroupElement, LieAlgebra, chi
@@ -45,15 +50,16 @@ class CertificateError(ValueError):
 class Subspace:
     """dim g-dimensional subspace of g + g, canonically presented."""
 
-    __slots__ = ("algebra", "basis", "certified", "source")
+    __slots__ = ("algebra", "span", "basis", "certified", "source")
 
     def __init__(self, algebra: LieAlgebra, rows, certified: bool = False, source: str = "raw"):
         n = algebra.dim
-        reduced, pivots, rank = Mat([list(r) for r in rows]).rref()
-        if rank != n:
-            raise MembershipError(f"subspace basis has rank {rank}, expected {n}")
+        span = RowSpan(rows)
+        if len(span.pivots) != n:
+            raise MembershipError(f"subspace basis has rank {len(span.pivots)}, expected {n}")
         self.algebra = algebra
-        self.basis = Mat(reduced.rows[:n])
+        self.span = span
+        self.basis = Mat.from_core(span.ints, span.d)
         self.certified = certified
         self.source = source
 
@@ -63,15 +69,17 @@ class Subspace:
 
     @property
     def plucker(self) -> tuple:
-        """Normalized Plucker coordinates, computed on each read: the maximal
-        minors of the RREF basis in lexicographic column order.
+        """Normalized Plucker coordinates, computed on each read: the integer
+        maximal minors of the span's core in lexicographic column order over
+        the first nonzero one.
 
-        They need no division, as the first nonzero one is already 1.  The
-        minor on the pivot columns is det(I) = 1, and every lexicographically
-        earlier column set has i columns left of the i-th pivot, where only
-        the first i - 1 rows are nonzero, so its minor vanishes.
+        That is the minor on the pivot columns, det(dI): every earlier column
+        set has i columns left of the i-th pivot, where only the first i - 1
+        rows are nonzero, so its minor vanishes.
         """
-        return tuple(maximal_minors(self.basis.rows, 2 * self.dim, _ZERO))
+        minors = maximal_minors(self.span.ints, 2 * self.dim, 0)
+        lead = next(m for m in minors if m)
+        return tuple(Fraction(m, lead) if m else _ZERO for m in minors)
 
     def rows_as_pairs(self):
         n = self.dim
@@ -84,22 +92,12 @@ class Subspace:
 
     def contains(self, pair) -> bool:
         y1, y2 = pair
-        return not any(self.reduce(tuple(y1.coords) + tuple(y2.coords)))
-
-    def reduce(self, vector):
-        """Residual of a coordinate vector after eliminating the pivots of the basis."""
-        vector = list(vector)
-        for row in self.basis.rows:
-            pc = next(i for i, a in enumerate(row) if a)
-            if vector[pc]:
-                f = vector[pc]
-                vector = [a - f * b for a, b in zip(vector, row)]
-        return tuple(vector)
+        return self.span.contains(tuple(y1.coords) + tuple(y2.coords))
 
     def projection_ranks(self):
         n = self.dim
-        first = Mat([r[:n] for r in self.basis.rows]).rank()
-        second = Mat([r[n:] for r in self.basis.rows]).rank()
+        first = Mat.from_core([r[:n] for r in self.span.ints], 1).rank()
+        second = Mat.from_core([r[n:] for r in self.span.ints], 1).rank()
         return first, second
 
     def is_boundary(self) -> bool:
@@ -259,9 +257,9 @@ def limit(curve: CurveSubspace) -> Subspace:
 
     Two independent algorithms run on every call: row reduction over the
     local ring (repeatedly replace a row combination that dies at t = 0 and
-    strip the liberated power of t) and evaluation of the normalized
-    Plucker vector of the original basis.  Disagreement is an internal
-    error, never a value.
+    strip the liberated power of t) and the leading coefficients of the
+    maximal minors of the original basis, compared as integers proportional
+    to the result's minors.  Disagreement is an internal error, never a value.
     """
     alg = curve.algebra
     n = alg.dim
@@ -274,8 +272,7 @@ def limit(curve: CurveSubspace) -> Subspace:
         raise DegenerateCurveError(
             "curve has generic rank below the ambient requirement"
         ) from None
-    lead = next(c for c in coeffs if c)
-    plucker_limit = tuple(Fraction(c, lead) if c else _ZERO for c in coeffs)
+    leading = dict(compress(zip(lex_masks(2 * n, n), coeffs), coeffs))
 
     # Row-reduction method over the local ring at t = 0.
     work = [list(r) for r in curve.rows]
@@ -301,7 +298,11 @@ def limit(curve: CurveSubspace) -> Subspace:
         raise InternalCheckError("limit reduction did not terminate within its valuation budget")
     result = Subspace(alg, m0.rows, certified=True, source="limit")
 
-    if result.plucker != plucker_limit:
+    minors = minor_states(result.span.ints)
+    j = next(iter(minors))
+    if minors.keys() != leading.keys() or any(
+        minors[j] * c != leading[j] * minors[k] for k, c in leading.items()
+    ):
         raise InternalCheckError("limit algorithms disagree")
     return result
 

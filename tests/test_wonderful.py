@@ -229,6 +229,52 @@ class TestLeadingMinorRoute:
             limit(curve)
 
 
+class TestSparseCrossCheck:
+    """``limit`` compares the nonzero leading minor coefficients with the
+    result's integer minors: the same column sets, proportional values."""
+
+    DENSE = [[(1, 1), 1, 2], [0, (1, 2), (1, -1)], [1, 0, 1]]
+
+    @staticmethod
+    def nonzero_where_minor_vanishes(coeffs):
+        coeffs[coeffs.index(0)] = 1
+
+    @staticmethod
+    def non_leading_minor_zeroed(coeffs):
+        nonzero = [i for i, c in enumerate(coeffs) if c]
+        assert len(nonzero) > 1
+        coeffs[nonzero[-1]] = 0
+
+    @staticmethod
+    def scaled_by_minus_three(coeffs):
+        coeffs[:] = [-3 * c for c in coeffs]
+
+    @pytest.mark.parametrize(
+        "fault, detected",
+        [
+            ("nonzero_where_minor_vanishes", True),
+            ("non_leading_minor_zeroed", True),
+            ("scaled_by_minus_three", False),
+        ],
+    )
+    def test_planted_faults(self, monkeypatch, fault, detected):
+        curve = CurveSubspace.from_group_curve(lie_algebra(3), t_mat(self.DENSE))
+        expected = limit(curve)
+        real = wonderful.lowest_minor_coefficients
+
+        def planted(rows, ncols):
+            mu, coeffs = real(rows, ncols)
+            getattr(self, fault)(coeffs)
+            return mu, coeffs
+
+        monkeypatch.setattr(wonderful, "lowest_minor_coefficients", planted)
+        if detected:
+            with pytest.raises(InternalCheckError, match="disagree"):
+                limit(curve)
+        else:
+            assert limit(curve) == expected
+
+
 class TestContains:
     def test_diagonal_contains_diagonal_pairs(self):
         sl2 = lie_algebra(2)

@@ -1,6 +1,7 @@
-"""Points of the wonderful compactification stored as their RREF basis:
+"""Points of the wonderful compactification stored as a ``RowSpan``:
 equality and hashing across spanning sets, Plucker coordinates computed on
-read, membership by pivot reduction, and degenerate curves in ``limit``."""
+read, membership by pivot reduction, the span's residual, and degenerate
+curves in ``limit``."""
 
 from fractions import Fraction
 
@@ -158,6 +159,64 @@ class TestContainsByReduction:
         sl2 = lie_algebra(2)
         for gamma, _ in sl2_points(sl2):
             assert gamma.contains((sl2.zero(), sl2.zero()))
+
+
+def reduce_oracle(basis_rows, vector):
+    """Residual of a vector after clearing, in order, the pivot of each row of
+    a reduced echelon basis of Fraction rows."""
+    vector = list(vector)
+    for row in basis_rows:
+        pc = next(i for i, a in enumerate(row) if a)
+        f = vector[pc]
+        if f:
+            vector = [a - f * b for a, b in zip(vector, row)]
+    return vector
+
+
+class TestResidual:
+    """``RowSpan.residual`` of a point's span: d times the pivot-reduction
+    residual, linear, and zero on the span."""
+
+    @staticmethod
+    def vectors(width, seed, count=4):
+        stream = RationalStream(seed)
+        return [tuple(stream.take() for _ in range(width)) for _ in range(count)]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_is_d_times_pivot_reduction(self, n):
+        alg = lie_algebra(n)
+        points = sl2_points(alg) if n == 2 else sl3_points(alg)
+        seen_d = set()
+        for k, (gamma, rows) in enumerate(points):
+            span = gamma.span
+            seen_d.add(span.d)
+            for v in self.vectors(2 * alg.dim, 80 + k) + list(rows):
+                expected = [span.d * a for a in reduce_oracle(gamma.basis.rows, v)]
+                assert span.residual(v) == expected
+        assert seen_d - {1}
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_is_linear(self, n):
+        alg = lie_algebra(n)
+        points = sl2_points(alg) if n == 2 else sl3_points(alg)
+        for k, (gamma, _) in enumerate(points):
+            u, v, c = *self.vectors(2 * alg.dim, 90 + k, 2), Fraction(-7, 3)
+            combined = gamma.span.residual(tuple(a + c * b for a, b in zip(u, v)))
+            ru, rv = gamma.span.residual(u), gamma.span.residual(v)
+            assert combined == [a + c * b for a, b in zip(ru, rv)]
+            assert any(combined)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_vanishes_on_the_span(self, n):
+        alg = lie_algebra(n)
+        points = sl2_points(alg) if n == 2 else sl3_points(alg)
+        for k, (gamma, rows) in enumerate(points):
+            members = [
+                tuple(y1.coords) + tuple(y2.coords)
+                for y1, y2 in (gamma.sample_member(100 + k, j) for j in range(3))
+            ]
+            for v in list(rows) + other_spanning_set(rows, 110 + k) + members:
+                assert not any(gamma.span.residual(v))
 
 
 class TestDegenerateCurveLimit:
