@@ -249,7 +249,7 @@ class Mat:
 
     @staticmethod
     def zeros(r: int, c: int) -> "Mat":
-        return _core_mat(((0,) * c,) * r, 1)
+        return _core_mat(((0,) * c,) * r, 1, c)
 
     @property
     def rows(self) -> tuple:
@@ -314,9 +314,11 @@ class Mat:
         a, b = self._rational(), other._rational()
         if a and b:
             (a_ints, da), (b_ints, db) = a, b
-            cols = tuple(zip(*b_ints))
+            cols = tuple(zip(*b_ints)) if b_ints else ((),) * other.ncols
             return _reduced(
-                tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in a_ints), da * db
+                tuple(tuple(sum(map(mul, r, c)) for c in cols) for r in a_ints),
+                da * db,
+                other.ncols,
             )
         cols = other.ncols
         out = []
@@ -345,13 +347,19 @@ class Mat:
         vec = tuple(vec)
         if len(vec) != self.ncols:
             raise ValueError("shape mismatch")
-        core = self._rational()
-        if not core:
+        if not self._rational():
             return tuple(r[0] for r in (self @ Mat([[v] for v in vec])).rows)
-        ints, d = core
-        vs, dv = integer_coords(vec)
-        den = d * dv
-        return tuple(_ratio(sum(map(mul, r, vs)), den) for r in ints)
+        ints, d = self.apply_core(integer_coords(vec))
+        return tuple(_ratio(a, d) for a in ints)
+
+    def apply_core(self, vector):
+        """Rational matrix times the column ``ints / d`` of a core
+        ``(ints, d)``, as a core in lowest terms."""
+        ints, d = self._field_core()
+        vs, dv = vector
+        if len(vs) != self.ncols:
+            raise ValueError("shape mismatch")
+        return lowest_terms([sum(map(mul, r, vs)) for r in ints], d * dv)
 
     def map(self, fn) -> "Mat":
         return Mat([[fn(a) for a in r] for r in self.rows])
@@ -429,6 +437,12 @@ class Mat:
 
     def kernel(self):
         """Basis of the right null space, as a list of coordinate tuples."""
+        return [tuple(_ratio(a, d) for a in v) for v, d in self.kernel_cores()]
+
+    def kernel_cores(self):
+        """The basis of ``kernel`` as cores ``(ints, d)`` in lowest terms:
+        the vector of free column fc is d at fc and -R[r][fc] at the pivot
+        column of row r, over the denominator d of the RREF's core R."""
         R, pivots, rank = self.rref()
         ints, d = R.core()
         nc = self.ncols
@@ -436,11 +450,11 @@ class Mat:
         for fc in range(nc):
             if fc in pivots:
                 continue
-            v = [_ZERO] * nc
-            v[fc] = _ONE
+            v = [0] * nc
+            v[fc] = d
             for r, pc in enumerate(pivots):
-                v[pc] = _ratio(-ints[r][fc], d)
-            basis.append(tuple(v))
+                v[pc] = -ints[r][fc]
+            basis.append(lowest_terms(v, d))
         return basis
 
     def solve(self, rhs):
@@ -506,24 +520,25 @@ class Mat:
 
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _ratio(num: int, den: int) -> Fraction:
     return Fraction(num, den) if num else _ZERO
 
 
-def _core_mat(ints: tuple, d: int) -> Mat:
-    """A matrix from a core already in lowest terms (d > 0): tuple rows of ints."""
+def _core_mat(ints: tuple, d: int, ncols: int = 0) -> Mat:
+    """A matrix from a core already in lowest terms (d > 0): tuple rows of
+    ints.  A caller that knows the width passes it, so that a matrix
+    without rows keeps it."""
     m = object.__new__(Mat)
     m._rows = None
     m._core = (ints, d)
     m.nrows = len(ints)
-    m.ncols = len(ints[0]) if ints else 0
+    m.ncols = len(ints[0]) if ints else ncols
     return m
 
 
-def _reduced(ints: tuple, d: int) -> Mat:
+def _reduced(ints: tuple, d: int, ncols: int = 0) -> Mat:
     """The matrix ints / d with the core brought to lowest terms."""
     g = gcd(d, *chain.from_iterable(ints))
     if d < 0:
@@ -531,7 +546,7 @@ def _reduced(ints: tuple, d: int) -> Mat:
     if g != 1:
         ints = tuple(tuple(a // g for a in r) for r in ints)
         d //= g
-    return _core_mat(ints, d)
+    return _core_mat(ints, d, ncols)
 
 
 def _core_of(rows):
@@ -565,9 +580,22 @@ def _combine(a, b, sign: int) -> Mat:
 
 def integer_coords(values):
     """Rationals (Fraction or int) as (ints, d): d is the lcm of their
-    denominators and values[k] == ints[k] / d."""
+    denominators and values[k] == ints[k] / d.  This is the vector's core:
+    every prime power in d divides some denominator exactly, and that
+    value's numerator is prime to it, so the gcd of d and ints is 1."""
     d = lcm(*{a.denominator for a in values})
     return [a.numerator * (d // a.denominator) for a in values], d
+
+
+def lowest_terms(ints, d: int):
+    """The core of the vector ints / d, for integers ``ints`` and ``d != 0``:
+    ``(tuple of ints, d)`` divided by the gcd of all of them, with d > 0."""
+    g = gcd(d, *ints)
+    if d < 0:
+        g = -g
+    if g != 1:
+        return tuple(a // g for a in ints), d // g
+    return tuple(ints), d
 
 
 class RowSpan:

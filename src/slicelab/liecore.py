@@ -6,17 +6,23 @@ Conventions
   Cartan generators H_i = E_ii - E_(i+1)(i+1), then lower root vectors
   E_ij (i > j, lexicographic).  For sl2 this is (e, h, f) and coordinates
   are written (c_e, c_h, c_f).
+* An ``Element`` is one integer core ``(ints, d)``: its coordinates are
+  ``ints / d`` with ``d > 0`` and gcd 1, so the core is unique.  Sums,
+  differences, rational multiples, brackets, ``kappa``, ``exp_ad`` and
+  elements read off matrices or kernels are built as cores, and the
+  ``Fraction`` coordinates are built only when ``coords`` is read.
 * The structure constants of sl_n in this basis are integers, and the
   bracket table holds them as ints: ``_bracket_table[i][j]`` is the dense
-  coordinate tuple of [b_i, b_j].  ``bracket_coords`` scales both rational
-  coordinate tuples to integers once, accumulates in ints and divides once;
-  the Killing form runs the same way on an integer copy of its Gram matrix.
+  coordinate tuple of [b_i, b_j].  ``bracket_coords`` brackets two cores:
+  it accumulates in ints and divides once by the product of the two
+  denominators; the Killing form pairs two cores through an integer copy
+  of its Gram matrix the same way.
 * The Killing Gram is computed from its definition tr(ad_x ad_y) on the
   integer bracket table; the 2n*tr(xy) identity is a test oracle only.
-* Matrices are built and read through their integer cores: the matrix of
-  a coordinate tuple is its integer-scaled entries over one denominator,
-  and coordinates are read back with one division each, so ``Ad``, ``exp``
-  and ``log`` build ``Fraction``s only for the coordinates they return.
+* An element's matrix is its integer core laid out as a matrix core over
+  the same denominator, and the element of a rational trace-zero matrix
+  is read from the matrix core, so ``Ad``, ``exp`` and ``log`` build no
+  ``Fraction``s.
 * Group elements are projective: two representatives are equal iff
   proportional, and the stored representative has its first nonzero entry
   (row-major) scaled to 1.
@@ -28,9 +34,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import factorial
+from math import factorial, gcd
 
-from .exactnum import Mat, RationalStream, charpoly, integer_coords, sample_rational
+from .exactnum import (
+    Mat,
+    RationalStream,
+    charpoly,
+    integer_coords,
+    lowest_terms,
+    sample_rational,
+)
 
 _ZERO = Fraction(0)
 
@@ -73,6 +86,16 @@ class LieAlgebra:
             (k, data) for k, (kind, data) in enumerate(self._layout) if kind == "E"
         )
         self._cartan_start = n * (n - 1) // 2
+        # Where each coordinate sits in a matrix: (i, j) for E_ij, and
+        # (-1, i) for H_i, whose coordinate is the partial diagonal sum.
+        self._sources = tuple(
+            data if kind == "E" else (-1, data) for kind, data in self._layout
+        )
+        self._zero = _core_element(self, (0,) * self.dim, 1)
+        self._units = tuple(
+            _core_element(self, tuple(int(k == j) for j in range(self.dim)), 1)
+            for k in range(self.dim)
+        )
         self.basis = tuple(self._basis_matrix(k) for k in range(self.dim))
         self._bracket_table = self._build_bracket_table()
         self._gram_ints = self._build_killing_gram()
@@ -95,21 +118,12 @@ class LieAlgebra:
     def coords_from_matrix(self, m: Mat):
         """Coordinates of a trace-zero matrix in the basis; exact and closed-form.
 
-        A rational matrix is read from its integer core, with one division
-        per coordinate; other entries (Laurent curves) are read as they are.
+        A rational matrix is read through ``element_from_matrix``; other
+        entries (Laurent curves) are read as they are.
         """
-        core = m.core()
-        if core is None:
+        if m.core() is None:
             return self._coords_from_entries(m.rows)
-        ints, d = core
-        diagonal = list(accumulate(ints[k][k] for k in range(self.n)))
-        if diagonal[-1]:
-            raise LieAlgebraError("matrix has nonzero trace")
-        coords = []
-        for kind, data in self._layout:
-            v = ints[data[0]][data[1]] if kind == "E" else diagonal[data]
-            coords.append(Fraction(v, d) if v else _ZERO)
-        return tuple(coords)
+        return self.element_from_matrix(m).coords
 
     def _coords_from_entries(self, rows):
         n = self.n
@@ -124,12 +138,11 @@ class LieAlgebra:
                 coords.append(sum((rows[k][k] for k in range(data + 1)), Fraction(0)))
         return tuple(coords)
 
-    def matrix_from_coords(self, coords) -> Mat:
-        """The trace-zero matrix as an integer core: E_ij coordinates in
-        place, diagonal entry i equal to h_i - h_(i-1) (h_0 first, -h_(n-2)
-        last), all over the lcm of the coordinates' denominators."""
+    def matrix_from_core(self, ints, d: int) -> Mat:
+        """The trace-zero matrix of the coordinates ints / d, as a matrix
+        core over d: E_ij coordinates in place, diagonal entry i equal to
+        h_i - h_(i-1) (h_0 first, -h_(n-2) last)."""
         n = self.n
-        ints, d = integer_coords(coords)
         rows = [[0] * n for _ in range(n)]
         for k, (i, j) in self._roots:
             rows[i][j] = ints[k]
@@ -147,22 +160,20 @@ class LieAlgebra:
             bi = self.basis[i]
             for j in range(self.dim):
                 bj = self.basis[j]
-                coords = self.coords_from_matrix(bi @ bj - bj @ bi)
-                if any(c.denominator != 1 for c in coords):
+                ints, d = self.element_from_matrix(bi @ bj - bj @ bi).core()
+                if d != 1:
                     raise LieAlgebraError("structure constant is not an integer")
-                row.append(tuple(c.numerator for c in coords))
+                row.append(ints)
             table.append(tuple(row))
         return tuple(table)
 
     def bracket_coords(self, x, y):
-        """Bracket of two rational coordinate tuples via the integer structure
-        constants: x and y are scaled to integers by the lcm of their
-        denominators, the sum runs in ints over the nonzero entries, and each
-        output coordinate is divided once by the two scales."""
-        xs, dx = integer_coords(x)
-        ys, dy = integer_coords(y)
-        d = dx * dy
-        return tuple(Fraction(v, d) if v else _ZERO for v in self._bracket_ints(xs, ys))
+        """Bracket of two coordinate cores ``(ints, d)`` via the integer
+        structure constants, as a core in lowest terms: the sum runs in ints
+        over the nonzero entries and is divided once by the two
+        denominators."""
+        (xs, dx), (ys, dy) = x, y
+        return lowest_terms(self._bracket_ints(xs, ys), dx * dy)
 
     def _bracket_ints(self, xs, ys):
         """The bracket of two integer coordinate lists, in ints."""
@@ -182,7 +193,7 @@ class LieAlgebra:
     def ad_matrix(self, x: "Element") -> Mat:
         """Matrix of ad_x = [x, .] in basis coordinates (columns are [x, b_j]),
         built as an integer core from the bracket table."""
-        xs, d = integer_coords(x.coords)
+        xs, d = x.core()
         rows = [[0] * self.dim for _ in range(self.dim)]
         for a, cols in zip(xs, self._bracket_table):
             if a:
@@ -191,9 +202,6 @@ class LieAlgebra:
                         if s:
                             rows[k][j] += a * s
         return Mat.from_core(rows, d)
-
-    def _unit(self, j: int):
-        return tuple(Fraction(1) if k == j else Fraction(0) for k in range(self.dim))
 
     def _build_killing_gram(self):
         # Column l of ad_i is [b_i, b_l], the table entry (i, l).
@@ -215,16 +223,29 @@ class LieAlgebra:
         return Element(self, coords)
 
     def zero(self) -> "Element":
-        return Element(self, tuple(Fraction(0) for _ in range(self.dim)))
+        return self._zero
 
     def basis_element(self, k: int) -> "Element":
-        return Element(self, self._unit(k))
+        return self._units[k]
 
     def basis_elements(self):
-        return [self.basis_element(k) for k in range(self.dim)]
+        return list(self._units)
 
     def element_from_matrix(self, m: Mat) -> "Element":
-        return Element(self, self.coords_from_matrix(m))
+        """The element of a rational trace-zero matrix, read from its integer
+        core ``ints / d``: E_ij coordinates in place and H_i coordinates
+        the partial diagonal sums, over the same d.  The matrix entries are
+        these coordinates' differences, so the core stays in lowest terms."""
+        core = m.core()
+        if core is None:
+            raise LieAlgebraError("element_from_matrix needs rational entries")
+        ints, d = core
+        diagonal = list(accumulate(ints[k][k] for k in range(self.n)))
+        if diagonal[-1]:
+            raise LieAlgebraError("matrix has nonzero trace")
+        return _core_element(
+            self, tuple(ints[i][j] if i >= 0 else diagonal[j] for i, j in self._sources), d
+        )
 
     def named(self, name: str) -> "Element":
         aliases = {"e": "E12", "f": "E21", "h": "H1"} if self.n == 2 else {}
@@ -253,65 +274,152 @@ def algebra_by_tag(tag: str) -> LieAlgebra:
     return lie_algebra(tags[tag])
 
 
-@dataclass(frozen=True)
 class Element:
-    """Lie algebra element given by coordinates over the basis."""
+    """Lie algebra element, immutable: the coordinates over the basis are
+    ``ints / d`` for its integer core ``(ints, d)`` (``core()``), with
+    ``d > 0`` and the gcd of ``d`` and ``ints`` equal to 1.
 
-    algebra: LieAlgebra
-    coords: tuple
+    The core is unique, so ``==`` and ``hash`` read it.  An element made
+    from coordinates (``LieAlgebra.element``) keeps them as given and
+    builds its core on first use; one made from a core (arithmetic,
+    brackets, matrices, kernels) builds ``coords``, a tuple of
+    ``Fraction``s, only when it is read.
+    """
+
+    __slots__ = ("algebra", "_coords", "_core")
+
+    def __init__(self, algebra: LieAlgebra, coords):
+        _set_algebra(self, algebra)
+        _set_coords(self, tuple(coords))
+        _set_core(self, None)
+
+    @staticmethod
+    def from_core(algebra: LieAlgebra, ints, d: int) -> "Element":
+        """The element with coordinates ints / d, for integers ``ints`` and
+        ``d != 0``."""
+        if len(ints) != algebra.dim:
+            raise LieAlgebraError(f"expected {algebra.dim} coordinates, got {len(ints)}")
+        if not d:
+            raise ZeroDivisionError("element core with denominator 0")
+        return _core_element(algebra, *lowest_terms(ints, d))
+
+    @property
+    def coords(self) -> tuple:
+        coords = self._coords
+        if coords is None:
+            ints, d = self._core
+            coords = tuple(Fraction(a, d) if a else _ZERO for a in ints)
+            _set_coords(self, coords)
+        return coords
+
+    def core(self):
+        """The integer core ``(ints, d)``: a tuple of ints and the
+        denominator, in lowest terms."""
+        core = self._core
+        if core is None:
+            ints, d = integer_coords(self._coords)
+            core = (tuple(ints), d)
+            _set_core(self, core)
+        return core
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Element is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Element is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        return Element, (self.algebra, self.coords)
 
     def __add__(self, other):
-        self._check(other)
-        return Element(self.algebra, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return self._combine(other, 1)
 
     def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def _combine(self, other, sign: int) -> "Element":
+        """self + sign * other, over the lcm of the two denominators."""
         self._check(other)
-        return Element(self.algebra, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        (a, da), (b, db) = self.core(), other.core()
+        if da == db:
+            fa, fb = 1, sign
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, sign * (da // g)
+        return _core_element(
+            self.algebra, *lowest_terms([fa * x + fb * y for x, y in zip(a, b)], da * fa)
+        )
 
     def __neg__(self):
-        return Element(self.algebra, tuple(-a for a in self.coords))
+        ints, d = self.core()
+        return _core_element(self.algebra, tuple(-a for a in ints), d)
 
     def __rmul__(self, c):
-        return Element(self.algebra, tuple(c * a for a in self.coords))
+        """A rational multiple c * x."""
+        if not isinstance(c, (int, Fraction)):
+            return NotImplemented
+        ints, d = self.core()
+        num = c.numerator
+        return _core_element(
+            self.algebra, *lowest_terms([num * a for a in ints], d * c.denominator)
+        )
 
     def _check(self, other):
         if self.algebra is not other.algebra:
             raise LieAlgebraError("elements belong to different algebras")
 
     def is_zero(self) -> bool:
-        return all(not a for a in self.coords)
+        core = self._core
+        if core is None:
+            return all(not a for a in self._coords)
+        return not any(core[0])
 
     def matrix(self) -> Mat:
-        return self.algebra.matrix_from_coords(self.coords)
+        return self.algebra.matrix_from_core(*self.core())
 
     def __eq__(self, other):
         return (
             isinstance(other, Element)
             and self.algebra is other.algebra
-            and self.coords == other.coords
+            and self.core() == other.core()
         )
 
     def __hash__(self):
-        return hash((id(self.algebra), self.coords))
+        return hash((id(self.algebra), self.core()))
 
     def __repr__(self):
         return f"Element({', '.join(map(str, self.coords))})"
 
 
+_set_algebra = Element.algebra.__set__
+_set_coords = Element._coords.__set__
+_set_core = Element._core.__set__
+
+
+def _core_element(algebra: LieAlgebra, ints: tuple, d: int) -> Element:
+    """The element of a core already in lowest terms (a tuple of ints, d > 0)."""
+    x = object.__new__(Element)
+    _set_algebra(x, algebra)
+    _set_coords(x, None)
+    _set_core(x, (ints, d))
+    return x
+
+
 def bracket(x: Element, y: Element) -> Element:
     x._check(y)
-    return Element(x.algebra, x.algebra.bracket_coords(x.coords, y.coords))
+    alg = x.algebra
+    return _core_element(alg, *alg.bracket_coords(x.core(), y.core()))
 
 
 def killing(x: Element, y: Element) -> Fraction:
     """Killing form <x, y> = tr(ad_x ad_y), evaluated through the cached Gram matrix.
 
-    Both coordinate tuples are scaled to integers and paired through the
-    integer Gram copy, with one division at the end.
+    The two cores are paired through the integer Gram copy, with one
+    division at the end.
     """
     x._check(y)
-    xs, dx = integer_coords(x.coords)
-    ys, dy = integer_coords(y.coords)
+    xs, dx = x.core()
+    ys, dy = y.core()
     total = 0
     for a, row in zip(xs, x.algebra._gram_ints):
         if a:
@@ -329,7 +437,8 @@ def kappa(algebra: LieAlgebra, covector) -> Element:
     covector = tuple(covector)
     if len(covector) != algebra.dim:
         raise LieAlgebraError("covector has wrong length")
-    return Element(algebra, algebra._gram_inverse.apply(covector))
+    ints, d = algebra._gram_inverse.apply_core(integer_coords(covector))
+    return _core_element(algebra, ints, d)
 
 
 class GroupElement:
@@ -426,13 +535,13 @@ def exp_ad(z: Element, x: Element) -> Element:
     """
     alg = x.algebra
     x._check(z)
-    zs, dz = integer_coords(z.coords)
-    acc, den = integer_coords(x.coords)
+    zs, dz = z.core()
+    acc, den = x.core()
     term = acc
     for k in range(1, alg.dim + 2):
         term = alg._bracket_ints(zs, term)
         if not any(term):
-            return Element(alg, tuple(Fraction(v, den) if v else _ZERO for v in acc))
+            return Element.from_core(alg, acc, den)
         step = dz * k
         den *= step
         acc = [a * step + t for a, t in zip(acc, term)]
@@ -462,7 +571,7 @@ def log_unipotent(g: GroupElement) -> Element:
 def centralizer(x: Element):
     """Basis of the centralizer subalgebra {z : [x, z] = 0}."""
     ad = x.algebra.ad_matrix(x)
-    return [Element(x.algebra, v) for v in ad.kernel()]
+    return [_core_element(x.algebra, *v) for v in ad.kernel_cores()]
 
 
 def is_regular(x: Element) -> bool:

@@ -338,7 +338,7 @@ def subspace_stabilizer(gamma: Subspace):
     stabilizer of the subspace under the left-factor action."""
     alg = gamma.algebra
     rows = _gamma_condition_rows(gamma, alg.basis_elements())
-    return [Element(alg, v) for v in Mat(rows).kernel()]
+    return [Element.from_core(alg, *v) for v in Mat(rows).kernel_cores()]
 
 
 def stabilizer_infinitesimal(second: LogCotangentPoint, x: HamiltonianSpacePoint | None):
@@ -383,7 +383,7 @@ def _stabilizer_infinitesimal(second: LogCotangentPoint, x: HamiltonianSpacePoin
     for p in range(n):
         condition_rows.append(tuple(br[p] for br in brackets))
 
-    return [Element(alg, v) for v in Mat(condition_rows).kernel()]
+    return [Element.from_core(alg, *v) for v in Mat(condition_rows).kernel_cores()]
 
 
 def group_stabilizer_pgl2(second: LogCotangentPoint, x: HamiltonianSpacePoint | None):
@@ -436,7 +436,7 @@ def group_stabilizer_pgl2(second: LogCotangentPoint, x: HamiltonianSpacePoint | 
         if not traceless.is_zero():
             out.append(alg.element_from_matrix(traceless))
     span = RowSpan(e.coords for e in out)
-    return [Element(alg, v) for v in Mat.from_core(span.ints, span.d).rows]
+    return [Element.from_core(alg, r, span.d) for r in span.ints]
 
 
 def pgl2_model_matrix(gamma: Subspace) -> Mat:

@@ -17,18 +17,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
+from operator import mul
 
 from .exactnum import (
     LaurentPoly,
     Mat,
     RowSpan,
+    integer_coords,
     lex_masks,
     lowest_minor_coefficients,
     maximal_minors,
     minor_states,
     sample_rational,
 )
-from .liecore import Ad, GroupElement, LieAlgebra, chi
+from .liecore import Ad, Element, GroupElement, LieAlgebra, chi
 from .slodowy import InternalCheckError, SlodowySlice, chi_section
 
 
@@ -82,17 +84,18 @@ class Subspace:
         return tuple(Fraction(m, lead) if m else _ZERO for m in minors)
 
     def rows_as_pairs(self):
-        n = self.dim
-        out = []
-        for r in self.basis.rows:
-            out.append(
-                (self.algebra.element(r[:n]), self.algebra.element(r[n:]))
-            )
-        return out
+        """The basis rows as element pairs, each half read from the span's core."""
+        alg, n, d = self.algebra, self.dim, self.span.d
+        return [
+            (Element.from_core(alg, r[:n], d), Element.from_core(alg, r[n:], d))
+            for r in self.span.ints
+        ]
 
     def contains(self, pair) -> bool:
-        y1, y2 = pair
-        return self.span.contains(tuple(y1.coords) + tuple(y2.coords))
+        """Whether the pair lies in the span: (y1, y2) scaled to integers by
+        d1 * d2 has a vanishing residual."""
+        (a, da), (b, db) = (y.core() for y in pair)
+        return not any(self.span.residual([x * db for x in a] + [x * da for x in b]))
 
     def projection_ranks(self):
         n = self.dim
@@ -113,14 +116,15 @@ class Subspace:
         return Subspace(self.algebra, rows, certified=self.certified, source="action")
 
     def sample_member(self, seed: int, index: int):
-        n = self.dim
-        y1 = self.algebra.zero()
-        y2 = self.algebra.zero()
-        for k, (a, b) in enumerate(self.rows_as_pairs()):
-            c = sample_rational(seed, index * n + k)
-            y1 = y1 + c * a
-            y2 = y2 + c * b
-        return y1, y2
+        """The combination of the basis rows with seeded rational weights,
+        summed in ints on the span's core."""
+        alg, n, span = self.algebra, self.dim, self.span
+        weights, dw = integer_coords(
+            [sample_rational(seed, index * n + k) for k in range(len(span.ints))]
+        )
+        total = [sum(map(mul, weights, column)) for column in zip(*span.ints)]
+        d = dw * span.d
+        return Element.from_core(alg, total[:n], d), Element.from_core(alg, total[n:], d)
 
     def __eq__(self, other):
         return (

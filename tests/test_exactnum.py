@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import lcm, prod
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +13,7 @@ from slicelab.exactnum import (
     Mat,
     RowSpan,
     charpoly,
+    integer_coords,
     lowest_minor_coefficients,
     maximal_minors,
     sample_rational,
@@ -667,6 +668,33 @@ class TestIntegerCoreEdges:
             Mat.from_core([[1]], 0)
         with pytest.raises(ValueError, match="ragged"):
             Mat.from_core([[1], [1, 2]], 1)
+
+    def test_matrix_without_rows_keeps_its_width(self):
+        assert Mat.zeros(0, 3).ncols == 3 and Mat.zeros(0, 3).nrows == 0
+        product = Mat.zeros(0, 3) @ Mat.zeros(3, 2)
+        assert (product.nrows, product.ncols) == (0, 2) and product.rows == ()
+        # an empty inner size gives the zero matrix of the outer shape
+        product = Mat.zeros(2, 0) @ Mat.zeros(0, 3)
+        assert (product.nrows, product.ncols) == (2, 3) and product == Mat.zeros(2, 3)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_kernel_cores_are_the_kernel_in_lowest_terms(self, kind):
+        m = Mat(kernel_case(kind, 5, 8, 3))
+        cores = m.kernel_cores()
+        assert [tuple(Fraction(a, d) for a in v) for v, d in cores] == m.kernel()
+        for v, d in cores:
+            assert d > 0 and gcd(d, *v) == 1
+            assert not any(m.apply_core((v, d))[0])
+
+    def test_apply_core_matches_apply(self):
+        rows = [[sample_rational(67, 5 * i + j) for j in range(5)] for i in range(4)]
+        vec = [sample_rational(71, j) for j in range(5)]
+        m = frac_mat(rows)
+        ints, d = m.apply_core(integer_coords(vec))
+        assert tuple(Fraction(a, d) for a in ints) == m.apply(vec)
+        assert d > 0 and gcd(d, *ints) == 1
+        with pytest.raises(ValueError, match="shape"):
+            m.apply_core(([1, 2], 1))
 
     def test_mixed_entries_are_rationals(self):
         m = Mat([[2, Fraction(1, 2)], [Fraction(-3, 4), 1]])

@@ -1,12 +1,18 @@
+import copy
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from slicelab.exactnum import Mat, sample_rational
+from slicelab.exactnum import LaurentPoly, Mat, integer_coords, sample_rational
 from slicelab.liecore import (
     Ad,
+    Element,
     GroupElement,
+    LieAlgebra,
     LieAlgebraError,
     algebra_by_tag,
     bracket,
@@ -204,9 +210,9 @@ class TestIntegerLiePathsAgainstFractionOracles:
         alg = lie_algebra(n)
         x, y = coordinate_pair(alg, kind, seed)
         for a, b in [(x, y), (y, x)]:
-            got = alg.bracket_coords(a, b)
-            assert got == bracket_coords_oracle(alg, a, b)
-            assert all(type(c) is Fraction for c in got)
+            ints, d = alg.bracket_coords(integer_coords(a), integer_coords(b))
+            assert tuple(Fraction(v, d) for v in ints) == bracket_coords_oracle(alg, a, b)
+            assert d > 0 and gcd(d, *ints) == 1
 
     def test_killing(self, n, kind, seed):
         alg = lie_algebra(n)
@@ -236,7 +242,8 @@ class TestIntegerLiePathsAgainstFractionOracles:
         expected = Mat.zeros(n, n)
         for c, b in zip(x, alg.basis):
             expected = expected + b.scale(c)
-        assert alg.matrix_from_coords(x) == expected
+        assert alg.matrix_from_core(*integer_coords(x)) == expected
+        assert alg.element(x).matrix() == expected
 
 
 def test_int_coordinates_give_fractions():
@@ -248,6 +255,155 @@ def test_int_coordinates_give_fractions():
     # det(lambda - [[2, 1], [3, -2]]) = lambda^2 - 7, exact even on int input
     coeffs = chi(sl2.element((1, 2, 3))).coeffs
     assert coeffs == (-7,) and type(coeffs[0]) is Fraction
+
+
+# --- The integer core of Element against Fraction arithmetic on coords ------
+
+PROPS = settings(derandomize=True, deadline=None, max_examples=60, database=None)
+
+rationals = st.one_of(
+    st.integers(-30, 30),
+    st.fractions(min_value=-30, max_value=30, max_denominator=15),
+)
+
+
+@st.composite
+def algebra_and_coords(draw, count):
+    """An algebra (sl2 or sl3) and ``count`` coordinate tuples of mixed
+    int and Fraction entries, zeros included."""
+    alg = lie_algebra(draw(st.sampled_from([2, 3])))
+    coords = st.lists(rationals, min_size=alg.dim, max_size=alg.dim).map(tuple)
+    return alg, [draw(coords) for _ in range(count)]
+
+
+def assert_core_of(x, coords):
+    """x has these coordinates, as Fractions, and its core is the unique one."""
+    ints, d = x.core()
+    assert d > 0 and gcd(d, *ints) == 1 and type(ints) is tuple
+    assert x.coords == tuple(Fraction(c) for c in coords)
+    assert type(x.coords) is tuple and len(x.coords) == x.algebra.dim
+    assert all(type(c) is Fraction for c in x.coords)
+    assert tuple(Fraction(a, d) for a in ints) == x.coords
+
+
+def exp_ad_oracle(z, x):
+    """sum_k ad_z^k x / k! in Fraction arithmetic on coordinate tuples."""
+    alg = x.algebra
+    term = acc = tuple(Fraction(c) for c in x.coords)
+    for k in range(1, alg.dim + 2):
+        term = tuple(c / k for c in bracket_coords_oracle(alg, z.coords, term))
+        if not any(term):
+            return acc
+        acc = tuple(a + t for a, t in zip(acc, term))
+    raise AssertionError("ad_z is not nilpotent")
+
+
+class TestElementCore:
+    @PROPS
+    @given(algebra_and_coords(2), rationals)
+    def test_arithmetic_matches_fraction_arithmetic(self, case, c):
+        alg, (xc, yc) = case
+        x, y = alg.element(xc), alg.element(yc)
+        assert_core_of(x + y, [a + b for a, b in zip(xc, yc)])
+        assert_core_of(x - y, [a - b for a, b in zip(xc, yc)])
+        assert_core_of(-x, [-a for a in xc])
+        assert_core_of(c * x, [c * a for a in xc])
+        assert_core_of(Fraction(c) * x, [c * a for a in xc])
+        with pytest.raises(TypeError):
+            0.5 * x
+
+    @PROPS
+    @given(algebra_and_coords(1))
+    def test_equality_and_hash_agree_across_routes(self, case):
+        alg, (xc,) = case
+        x = alg.element(tuple(Fraction(c) for c in xc))
+        routes = [
+            alg.element(list(xc)),
+            x + alg.zero(),
+            alg.zero() + x,
+            2 * x + (-1) * x,
+            alg.element_from_matrix(x.matrix()),
+            Element.from_core(alg, *x.core()),
+            -(-x),
+        ]
+        if all(Fraction(c).denominator == 1 for c in xc):
+            routes.append(alg.element(tuple(int(c) for c in xc)))
+        for other in routes:
+            assert other == x and x == other
+            assert hash(other) == hash(x) and other.core() == x.core()
+        assert len(set(routes + [x])) == 1
+        assert (x + alg.basis_element(0) != x) and x != xc
+
+    @PROPS
+    @given(algebra_and_coords(2))
+    def test_killing_matches_the_fraction_reference(self, case):
+        alg, (xc, yc) = case
+        x, y = alg.element(xc), alg.element(yc)
+        for a, b in [(x, y), (y, x), (x, x), (x + y, y)]:
+            assert killing(a, b) == killing_oracle(a, b)
+
+    @PROPS
+    @given(algebra_and_coords(2))
+    def test_exp_ad_matches_the_fraction_reference(self, case):
+        alg, (zc, xc) = case
+        # keep the strictly lower triangular part of z, so ad_z is nilpotent
+        lower = [name[0] == "E" and name[1] > name[2] for name in alg.basis_names]
+        z = alg.element(tuple(c if keep else 0 for c, keep in zip(zc, lower)))
+        x = alg.element(xc)
+        got = exp_ad(z, x)
+        assert_core_of(got, exp_ad_oracle(z, x))
+        assert got == Ad(exp_nilpotent(z), x)
+
+    def test_from_core_brings_the_core_to_lowest_terms(self):
+        sl2 = lie_algebra(2)
+        x = Element.from_core(sl2, [4, -6, 0], -8)
+        assert x.core() == ((-2, 3, 0), 4)
+        assert x.coords == (Fraction(-1, 2), Fraction(3, 4), Fraction(0))
+        assert Element.from_core(sl2, [0, 0, 0], 5).core() == ((0, 0, 0), 1)
+        with pytest.raises(ZeroDivisionError):
+            Element.from_core(sl2, [1, 0, 0], 0)
+        with pytest.raises(LieAlgebraError):
+            Element.from_core(sl2, [1, 0], 1)
+
+    def test_element_from_matrix_rejects_trace_and_non_rationals(self):
+        sl2 = lie_algebra(2)
+        with pytest.raises(LieAlgebraError, match="trace"):
+            sl2.element_from_matrix(frac_mat([[1, 0], [0, 0]]))
+        with pytest.raises(LieAlgebraError, match="rational"):
+            sl2.element_from_matrix(Mat([[LaurentPoly.t_power(1), 0], [0, 0]]))
+
+    def test_one_bracket_is_one_bracket_coords_call(self, monkeypatch):
+        calls = []
+        original = LieAlgebra.bracket_coords
+
+        def counting(self, x, y):
+            calls.append((x, y))
+            return original(self, x, y)
+
+        monkeypatch.setattr(LieAlgebra, "bracket_coords", counting)
+        for n in (2, 3):
+            alg = lie_algebra(n)
+            x, y = sample_element(alg, 79, 0), sample_element(alg, 79, 1)
+            before = len(calls)
+            z = bracket(x, y)
+            assert len(calls) == before + 1
+            assert calls[-1] == (x.core(), y.core())
+            assert z.coords == bracket_coords_oracle(alg, x.coords, y.coords)
+
+    def test_elements_are_immutable(self):
+        sl3 = lie_algebra(3)
+        x = sample_element(sl3, 83, 0)
+        for element in (x, x + x, sl3.zero(), sl3.basis_element(2), bracket(x, x)):
+            coords, core, key = element.coords, element.core(), hash(element)
+            for name in ("algebra", "coords", "_coords", "_core", "core", "extra"):
+                with pytest.raises(AttributeError):
+                    setattr(element, name, None)
+                with pytest.raises(AttributeError):
+                    delattr(element, name)
+            assert element.coords == coords and element.core() == core
+            assert hash(element) == key and element.algebra is sl3
+            assert copy.copy(element) == element
+        assert {x: 1}[sample_element(sl3, 83, 0)] == 1
 
 
 class TestKappa:
