@@ -334,7 +334,9 @@ class Mat:
         return Mat(out)
 
     def transpose(self) -> "Mat":
-        return Mat(list(zip(*self.rows))) if self.rows else self
+        if self.nrows and self.ncols:
+            return Mat(list(zip(*self.rows)))
+        return Mat.zeros(self.ncols, self.nrows)
 
     def trace(self):
         acc = self.rows[0][0]
@@ -371,7 +373,7 @@ class Mat:
         return all(not a for r in self.rows for a in r)
 
     def __eq__(self, other):
-        if not isinstance(other, Mat):
+        if not isinstance(other, Mat) or (self.nrows, self.ncols) != (other.nrows, other.ncols):
             return False
         a, b = self._rational(), other._rational()
         if a and b:
@@ -430,7 +432,7 @@ class Mat:
         den = lcm(*(m[i][c] for i, c in enumerate(pivots)))
         out = tuple(tuple(a * (den // m[i][c]) for a in m[i]) for i, c in enumerate(pivots))
         out += ((0,) * nc,) * (nr - r)
-        return _reduced(out, den), tuple(pivots), r
+        return _reduced(out, den, nc), tuple(pivots), r
 
     def rank(self) -> int:
         return self.rref()[2]
@@ -623,6 +625,37 @@ class RowSpan:
     def contains(self, vector) -> bool:
         """Whether ``vector`` lies in the span: its residual vanishes."""
         return not any(self.residual(integer_coords(vector)[0]))
+
+
+def sylvester_rows(left: Mat, right: Mat) -> Mat:
+    """The n^2 x n^2 matrix of X -> left @ X - X @ right on the row-major
+    entries of an n x n matrix X: row p*n + q is entry (p, q) of the image,
+    sum_r left[p][r] X[r][q] - sum_r X[p][r] right[r][q]."""
+    n = left.nrows
+    if (left.ncols, right.nrows, right.ncols) != (n, n, n):
+        raise ValueError("Sylvester operands must be square matrices of one size")
+    (a, da), (b, db) = left._field_core(), right._field_core()
+    rows = []
+    for p in range(n):
+        for q in range(n):
+            row = [0] * (n * n)
+            for r in range(n):
+                row[r * n + q] += db * a[p][r]
+                row[p * n + r] -= da * b[r][q]
+            rows.append(row)
+    return Mat.from_core(rows, da * db)
+
+
+def sylvester_solutions(pairs) -> list:
+    """Basis of the n x n matrices X with left @ X = X @ right for every pair:
+    the kernel of the stacked integer cores of ``sylvester_rows`` (scaling a
+    row keeps the kernel), each vector read back row-major into X."""
+    n = pairs[0][0].nrows
+    rows = [r for left, right in pairs for r in sylvester_rows(left, right).core()[0]]
+    return [
+        Mat.from_core([v[i:i + n] for i in range(0, n * n, n)], d)
+        for v, d in Mat.from_core(rows, 1).kernel_cores()
+    ]
 
 
 def span_contains(rows, vector) -> bool:

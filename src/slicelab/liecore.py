@@ -100,7 +100,7 @@ class LieAlgebra:
         self._bracket_table = self._build_bracket_table()
         self._gram_ints = self._build_killing_gram()
         self.killing_gram = Mat.from_core(self._gram_ints, 1)
-        self._gram_inverse = self.killing_gram.inverse()
+        self.killing_gram_inverse = self.killing_gram.inverse()
 
     def _basis_matrix(self, k: int) -> Mat:
         kind, data = self._layout[k]
@@ -437,7 +437,7 @@ def kappa(algebra: LieAlgebra, covector) -> Element:
     covector = tuple(covector)
     if len(covector) != algebra.dim:
         raise LieAlgebraError("covector has wrong length")
-    ints, d = algebra._gram_inverse.apply_core(integer_coords(covector))
+    ints, d = algebra.killing_gram_inverse.apply_core(integer_coords(covector))
     return _core_element(algebra, ints, d)
 
 

@@ -96,30 +96,27 @@ class PointedBivector:
 
 
 def lie_poisson_bivector(algebra: LieAlgebra, y: Element) -> PointedBivector:
-    """Lie-Poisson bivector at y: covector alpha goes to [y, kappa(alpha)]."""
-    rows = []
-    for i in range(algebra.dim):
-        unit = tuple(Fraction(k == i) for k in range(algebra.dim))
-        rows.append(bracket(y, kappa(algebra, unit)).coords)
-    return PointedBivector(f"lie-poisson@{y!r}", Mat(rows))
+    """Lie-Poisson bivector at y: covector alpha goes to [y, kappa(alpha)],
+    so the matrix is (ad_y K)^T for the inverse Killing Gram K."""
+    pi = algebra.ad_matrix(y) @ algebra.killing_gram_inverse
+    return PointedBivector(f"lie-poisson@{y!r}", pi.transpose())
 
 
 def cotangent_bivector(algebra: LieAlgebra, x: Element) -> PointedBivector:
-    """Bivector of T*G at (e, x) in left-trivialized coordinates.
+    """Bivector of T*G at (e, x) in left-trivialized coordinates: the block
+    matrix [[0, -K], [K, (ad_x K)^T]] for the inverse Killing Gram K.
 
     By left-invariance the same matrix serves at any (g, x).
     """
-    n = algebra.dim
-    zero = tuple(Fraction(0) for _ in range(n))
-    rows = []
-    kappas = [
-        kappa(algebra, tuple(Fraction(k == i) for k in range(n))) for i in range(n)
-    ]
-    for i in range(n):
-        rows.append(zero + tuple(-c for c in kappas[i].coords))
-    for j in range(n):
-        rows.append(kappas[j].coords + bracket(x, kappas[j]).coords)
-    return PointedBivector(f"tstarg@(e,{x!r})", Mat(rows))
+    k = algebra.killing_gram_inverse
+    zero = Mat.zeros(algebra.dim, algebra.dim)
+    fibre = (algebra.ad_matrix(x) @ k).transpose()
+    return PointedBivector(f"tstarg@(e,{x!r})", _block([[zero, -k], [k, fibre]]))
+
+
+def _block(grid) -> Mat:
+    """The block matrix of a grid of matrices, given row of blocks by row of blocks."""
+    return Mat([sum(rows, ()) for blocks in grid for rows in zip(*(b.rows for b in blocks))])
 
 
 def lie_poisson_apply(y: Element, alpha) -> Element:
@@ -374,9 +371,7 @@ def transversal_check(ambient: PointedBivector, tangent_basis) -> TransversalDec
     """
     tangent = tuple(tuple(v) for v in tangent_basis)
     dim = ambient.dim
-    annihilator = Mat(list(tangent)).kernel() if tangent else [
-        tuple(Fraction(k == i) for k in range(dim)) for i in range(dim)
-    ]
+    annihilator = (Mat(tangent) if tangent else Mat.zeros(0, dim)).kernel()
     complement = tuple(ambient.apply(a) for a in annihilator)
     stacked = list(tangent) + list(complement)
     rank = Mat(stacked).rank() if stacked else 0
@@ -389,10 +384,7 @@ def transversal_check(ambient: PointedBivector, tangent_basis) -> TransversalDec
             None,
             {"rank": rank, "ambient_dim": dim, "pieces": (len(tangent), len(complement))},
         )
-    if complement:
-        embedded = Mat(list(complement)).kernel()
-    else:
-        embedded = [tuple(Fraction(k == i) for k in range(dim)) for i in range(dim)]
+    embedded = (Mat(complement) if complement else Mat.zeros(0, dim)).kernel()
     induced = []
     span = RowSpan(tangent)
     for w in embedded:
@@ -428,10 +420,5 @@ def bivector_rank(pb: PointedBivector) -> int:
 
 def product_bivector(p1: PointedBivector, p2: PointedBivector) -> PointedBivector:
     """Product Poisson structure P1 + (-P2), as a block matrix."""
-    n1, n2 = p1.dim, p2.dim
-    rows = []
-    for i in range(n1):
-        rows.append(list(p1.matrix.rows[i]) + [Fraction(0)] * n2)
-    for i in range(n2):
-        rows.append([Fraction(0)] * n1 + [-c for c in p2.matrix.rows[i]])
-    return PointedBivector(f"product({p1.label}, {p2.label})", Mat(rows))
+    grid = [[p1.matrix, Mat.zeros(p1.dim, p2.dim)], [Mat.zeros(p2.dim, p1.dim), -p2.matrix]]
+    return PointedBivector(f"product({p1.label}, {p2.label})", _block(grid))

@@ -5,7 +5,9 @@ classes are stored as explicit representatives of the zero level of the
 relevant product moment map, normalized by the unique group element that
 carries a free component to the identity.  The compactified universal
 centralizer lives here through its pgl2 fibres {gamma : (x, x_tau) in
-gamma}, solved exactly as a linear system in the matrix model.
+gamma}, in the matrix model gamma_A = {(y1, y2) : y1 A = A y2}; each solver
+there (fibres, model matrices, group stabilizers) solves one Sylvester
+system L X = X R with ``exactnum.sylvester_solutions``.
 
 Quotient models used for the projection maps:
 * X = T*G with the right-factor action: X/G = g via (g, y) -> Ad_g(y),
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .exactnum import Mat, RowSpan
+from .exactnum import Mat, RowSpan, sylvester_solutions
 from .liecore import Ad, Element, GroupElement, bracket
 from .poissongeom import (
     MomentValue,
@@ -291,23 +293,7 @@ def compactified_fibre_pgl2(x: Element, slc: SlodowySlice) -> ProjectiveFibre:
     if alg.n != 2:
         raise SliceError("compactified fibres are computed in the pgl2 model only")
     x_tau = chi_section(slc, x)
-    xm = x.matrix()
-    tm = x_tau.matrix()
-    rows = []
-    for p in range(2):
-        for q in range(2):
-            row = []
-            for r in range(2):
-                for s in range(2):
-                    coeff = Fraction(0)
-                    if s == q:
-                        coeff += xm.rows[p][r]
-                    if r == p:
-                        coeff -= tm.rows[s][q]
-                    row.append(coeff)
-            rows.append(row)
-    kernel = Mat(rows).kernel()
-    basis = tuple(Mat([[v[0], v[1]], [v[2], v[3]]]) for v in kernel)
+    basis = tuple(sylvester_solutions([(x.matrix(), x_tau.matrix())]))
     for a in basis:
         gamma = pgl2_model(alg, a)
         if not gamma.contains((x, x_tau)):
@@ -389,75 +375,37 @@ def _stabilizer_infinitesimal(second: LogCotangentPoint, x: HamiltonianSpacePoin
 def group_stabilizer_pgl2(second: LogCotangentPoint, x: HamiltonianSpacePoint | None):
     """Exact group-level stabilizer solve in the pgl2 matrix model.
 
-    Returns a basis of the stabilizer's Lie algebra obtained from the linear
-    conditions {m A = lambda A, [m, y1] = 0, and m scalar if X is free},
-    with the scalar direction removed.  Agreement with the infinitesimal
-    computation is an acceptance property.
+    The stabilizer's Lie algebra holds the class of each m in gl2 with
+    m A = lambda A, [m, y1] = 0, and m scalar if X is free.  m - lambda I has
+    the same class and annihilates A, so this is the traceless part of the
+    Sylvester solutions of m A = 0, [y1, m] = 0, and [b, m] = 0 for the basis
+    b of sl2 if X is free (A != 0, so none is scalar).  Agreement with the
+    infinitesimal computation is an acceptance property.
     """
     alg = second.pair[0].algebra
     if alg.n != 2:
         raise UnsupportedSpaceError("group-level solve is pgl2-specific")
     if x is not None and space_model(x.tag).normalizer is None:
         raise UnsupportedSpaceError(f"no group stabilizer model for X of tag {x.tag!r}")
-    a = pgl2_model_matrix(second.gamma)
     y1 = second.pair[0].matrix()
-    # Unknowns: m (4 entries), lambda, mu.  Condition m @ A - lambda * A = 0.
-    rows = []
-    for p in range(2):
-        for q in range(2):
-            row = [Fraction(0)] * 6
-            for r in range(2):
-                row[2 * p + r] += a.rows[r][q]
-            row[4] -= a.rows[p][q]
-            rows.append(row)
-    # Condition m @ y1 - y1 @ m = 0.
-    for p in range(2):
-        for q in range(2):
-            row = [Fraction(0)] * 6
-            for r in range(2):
-                row[2 * p + r] += y1.rows[r][q]
-                row[2 * r + q] -= y1.rows[p][r]
-            rows.append(row)
-    # Free X-component: m must be scalar, m - mu * I = 0.
+    pairs = [(Mat.zeros(2, 2), pgl2_model_matrix(second.gamma)), (y1, y1)]
     if x is not None:
-        for p in range(2):
-            for q in range(2):
-                row = [Fraction(0)] * 6
-                row[2 * p + q] += Fraction(1)
-                if p == q:
-                    row[5] -= Fraction(1)
-                rows.append(row)
-    kernel = Mat(rows).kernel()
-    out = []
-    for v in kernel:
-        m = Mat([[v[0], v[1]], [v[2], v[3]]])
-        trace = m.trace()
-        traceless = m - Mat.identity(2).scale(trace / 2)
-        if not traceless.is_zero():
-            out.append(alg.element_from_matrix(traceless))
-    span = RowSpan(e.coords for e in out)
+        pairs += [(b, b) for b in alg.basis]
+    span = RowSpan(
+        alg.coords_from_matrix(m - Mat.identity(2).scale(m.trace() / 2))
+        for m in sylvester_solutions(pairs)
+    )
     return [Element.from_core(alg, r, span.d) for r in span.ints]
 
 
 def pgl2_model_matrix(gamma: Subspace) -> Mat:
-    """Inverse of the pgl2 matrix model: the matrix class with gamma_A = gamma."""
+    """Inverse of the pgl2 matrix model: the matrix class with gamma_A = gamma,
+    the one solution of y1 A = A y2 over the basis pairs."""
     alg = gamma.algebra
     if alg.n != 2:
         raise UnsupportedSpaceError("matrix model is pgl2-specific")
-    # Condition y1 @ A - A @ y2 = 0 in the unknown A, over the basis pairs.
-    rows = []
-    for y1, y2 in gamma.rows_as_pairs():
-        m1 = y1.matrix()
-        m2 = y2.matrix()
-        for p in range(2):
-            for q in range(2):
-                row = [Fraction(0)] * 4
-                for r in range(2):
-                    row[2 * r + q] += m1.rows[p][r]
-                    row[2 * p + r] -= m2.rows[r][q]
-                rows.append(row)
-    kernel = Mat(rows).kernel()
+    pairs = [(y1.matrix(), y2.matrix()) for y1, y2 in gamma.rows_as_pairs()]
+    kernel = sylvester_solutions(pairs)
     if len(kernel) != 1:
         raise InternalCheckError("model matrix is not unique up to scale")
-    v = kernel[0]
-    return Mat([[v[0], v[1]], [v[2], v[3]]])
+    return kernel[0]

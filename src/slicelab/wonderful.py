@@ -356,16 +356,9 @@ def pgl2_model(algebra: LieAlgebra, a: Mat) -> Subspace:
         raise MembershipError("the matrix model is specific to pgl2")
     if a.is_zero():
         raise MembershipError("the zero matrix does not define a model point")
-    rows = []
-    for p in range(2):
-        for q in range(2):
-            row = []
-            for b in algebra.basis:
-                row.append((b @ a).rows[p][q])
-            for b in algebra.basis:
-                row.append(-(a @ b).rows[p][q])
-            rows.append(row)
-    kernel = Mat(rows).kernel()
+    # column k holds the entries of b_k @ A, column dim + k those of -(A @ b_k)
+    products = [b @ a for b in algebra.basis] + [-(a @ b) for b in algebra.basis]
+    kernel = Mat([sum(m.rows, ()) for m in products]).transpose().kernel()
     if len(kernel) != 3:
         raise InternalCheckError("pgl2 model space is not 3-dimensional")
     return Subspace(algebra, kernel, certified=True, source="pgl2-model")

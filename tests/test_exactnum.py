@@ -504,6 +504,35 @@ class TestIntegerKernelEdges:
         assert mixed == Mat([[LaurentPoly(0, [6, 1])]])
 
 
+def seeded_square(seed, n, k):
+    return Mat([[sample_rational(seed, (k * n + i) * n + j) for j in range(n)] for i in range(n)])
+
+
+def row_major(m):
+    return tuple(a for r in m.rows for a in r)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_sylvester_rows_on_row_major_entries(n, seed):
+    left, right, x = (seeded_square(seed, n, k) for k in range(3))
+    system = exactnum.sylvester_rows(left, right)
+    assert (system.nrows, system.ncols) == (n * n, n * n)
+    assert system.apply(row_major(x)) == row_major(left @ x - x @ right)
+    # left commutes with itself, so X = left lies in the span of the solutions
+    solutions = exactnum.sylvester_solutions([(left, left)])
+    assert solutions and all(left @ s == s @ left for s in solutions)
+    assert Mat([row_major(s) for s in solutions]).rank() == len(solutions)
+    assert Mat([row_major(s) for s in solutions] + [row_major(left)]).rank() == len(solutions)
+
+
+def test_sylvester_rows_rejects_operands_of_other_shapes():
+    with pytest.raises(ValueError, match="square"):
+        exactnum.sylvester_rows(Mat.identity(2), Mat.identity(3))
+    with pytest.raises(ValueError, match="square"):
+        exactnum.sylvester_rows(Mat.zeros(2, 3), Mat.identity(2))
+
+
 # --- The integer core of Mat against plain Fraction oracles ------------------
 
 PROPS = settings(derandomize=True, deadline=None, max_examples=80, database=None)
@@ -656,7 +685,8 @@ class TestIntegerCoreAgainstFractionOracles:
 class TestIntegerCoreEdges:
     def test_zero_and_empty_matrices(self):
         assert Mat.zeros(2, 3) == frac_mat([[0, 0, 0], [0, 0, 0]])
-        assert Mat.zeros(2, 3).is_zero() and Mat.zeros(0, 3) == Mat([])
+        assert Mat.zeros(2, 3).is_zero() and Mat.zeros(0, 3) != Mat([])
+        assert Mat.zeros(0, 3) != Mat.zeros(0, 2) and Mat.zeros(0, 3) == Mat.zeros(0, 3)
         assert Mat.from_core([[0, 0]], 7) == Mat.from_core([[0, 0]], -1) == frac_mat([[0, 0]])
         assert Mat.from_core([[0, 0]], 7).core() == (((0, 0),), 1)
         assert Mat.from_core([], 5) == Mat([]) and Mat.from_core([], 5).det() == 1
@@ -676,6 +706,13 @@ class TestIntegerCoreEdges:
         # an empty inner size gives the zero matrix of the outer shape
         product = Mat.zeros(2, 0) @ Mat.zeros(0, 3)
         assert (product.nrows, product.ncols) == (2, 3) and product == Mat.zeros(2, 3)
+        # a transpose swaps the shape; rref and kernel of 0 x 3 keep the width
+        for r, c in ((0, 3), (3, 0)):
+            t = Mat.zeros(r, c).transpose()
+            assert (t.nrows, t.ncols) == (c, r) and t == Mat.zeros(c, r)
+        reduced, pivots, rank = Mat.zeros(0, 3).rref()
+        assert reduced.ncols == 3 and reduced == Mat.zeros(0, 3) and (pivots, rank) == ((), 0)
+        assert Mat.zeros(0, 3).kernel() == list(Mat.identity(3).rows)
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_kernel_cores_are_the_kernel_in_lowest_terms(self, kind):

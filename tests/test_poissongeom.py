@@ -72,12 +72,14 @@ class TestLiePoissonApply:
                 out = lie_poisson_apply(y, covector_of(a))
                 assert killing(b, out) == killing(y, bracket(a, b))
 
-    def test_matches_bivector_matrix(self):
-        sl2 = lie_algebra(2)
-        y = sample_element(sl2, 7, 0)
-        pb = lie_poisson_bivector(sl2, y)
-        for i in range(3):
-            alpha = unit_covector(3, i)
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matches_bivector_matrix(self, n, seed):
+        alg = lie_algebra(n)
+        y = sample_element(alg, seed, 0)
+        pb = lie_poisson_bivector(alg, y)
+        for i in range(alg.dim):
+            alpha = unit_covector(alg.dim, i)
             assert pb.apply(alpha) == lie_poisson_apply(y, alpha).coords
 
 
@@ -137,11 +139,13 @@ class TestCotangentBivector:
                 lhs = cotangent_form(CotangentPoint(ident, x), (py, pz), (v, w))
                 assert lhs == killing(a, v) + killing(b, w)
 
-    def test_matrix_matches_identity_formula(self):
-        sl2 = lie_algebra(2)
-        x = sample_element(sl2, 19, 0)
-        pb = cotangent_bivector(sl2, x)
-        dim = sl2.dim
+    @pytest.mark.parametrize("seed", [19, 20, 21])
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_matrix_matches_identity_formula(self, n, seed):
+        alg = lie_algebra(n)
+        x = sample_element(alg, seed, 0)
+        pb = cotangent_bivector(alg, x)
+        dim = alg.dim
         for i in range(dim):
             alpha = unit_covector(dim, i)
             zero = tuple(Fraction(0) for _ in range(dim))
@@ -440,6 +444,23 @@ class TestTransversality:
         result = transversal_check(pb, tangent)
         assert result.ok
         assert result.complement_basis == ()
+
+    @pytest.mark.parametrize("n,rank", [(2, 2), (3, 6)])
+    def test_empty_tangent(self, n, rank):
+        # no tangent: every covector annihilates it, and only a symplectic
+        # ambient sends them onto a complement of the whole space
+        alg = lie_algebra(n)
+        x = sample_element(alg, 79, n)
+        result = transversal_check(cotangent_bivector(alg, x), [])
+        assert result.ok and result.tangent_basis == ()
+        assert len(result.complement_basis) == 2 * alg.dim
+        m = result.induced_matrix
+        assert (m.nrows, m.ncols) == (0, 0)
+        result = transversal_check(lie_poisson_bivector(alg, x), [])
+        assert not result.ok and result.induced_matrix is None
+        assert result.witness == {
+            "rank": rank, "ambient_dim": alg.dim, "pieces": (0, alg.dim)
+        }
 
     @pytest.mark.parametrize(
         "n,partition,codim",

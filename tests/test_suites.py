@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from slicelab import cli, poissongeom, suites
+from slicelab import cli, exactnum, poissongeom, suites
 from slicelab.exactnum import Mat
 from slicelab.liecore import LieAlgebra, lie_algebra
 from slicelab.suites import SUITES, Config, ConfigError, check_name, run_suite, suite_names
@@ -165,6 +165,19 @@ class TestPlantedSuiteFaults:
 
         monkeypatch.setattr(suites, "pgl2_model", wrong)
         assert self.failing("wonderful", "pgl2-model-vs-limit") == {"curve": 0}
+
+    def test_sylvester_system_negated_on_its_right_operand(self, monkeypatch):
+        # every pgl2-model solver of slices builds its system from sylvester_rows
+        real = exactnum.sylvester_rows
+        monkeypatch.setattr(exactnum, "sylvester_rows", lambda left, right: real(left, -right))
+        report = run_suite("slices", Config(samples=2))
+        for name in (
+            "fibre-projective-dim",
+            "fibre-open-leaf",
+            "ktau-free-locus",
+            "stabilizer-group-vs-infinitesimal",
+        ):
+            assert check_named(report, name).status != "pass"
 
     def test_negated_universal_centralizer(self, monkeypatch):
         real = suites.universal_centralizer_contains
