@@ -9,6 +9,10 @@ Subcommands:
 Config precedence per key: command-line flags, then the SLICELAB_SEED
 environment variable (seed only), then a line-based key=value config file,
 then defaults.  All numeric output is exact; nothing is ever rounded.
+
+Bad input ends in one ``error:`` line and exit status 1; a failed internal
+cross-check (a fault of the program, not of the input) ends in one
+``error: internal check failed:`` line and exit status 3.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from .exactnum import LaurentPoly, Mat
 from .liecore import LieAlgebraError, algebra_by_tag
 from .slices import compactified_fibre_pgl2
 from .slodowy import (
+    InternalCheckError,
     SliceError,
     conjugate_to_slice,
     parse_partition,
@@ -352,6 +357,9 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except InternalCheckError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -740,15 +740,16 @@ def maximal_minors(rows, ncols: int, zero):
     return [states.get(mask, zero) for mask in lex_masks(ncols, len(rows))]
 
 
-def lowest_minor_coefficients(rows, ncols: int):
+def lowest_minor_coefficients(rows):
     """Leading coefficients of the maximal minors of a LaurentPoly matrix.
 
     Returns ``(mu, coeffs)``: ``mu`` is the lowest valuation among the
-    nonzero maximal minors, and ``coeffs`` holds the t^mu coefficient of
-    every minor, in the order of ``maximal_minors``.  The coefficients are
-    integers: row r is scaled by the lcm D_r of its coefficient
-    denominators, so each is the exact coefficient times prod(D_r), one
-    positive factor common to all minors that normalization divides out.
+    nonzero maximal minors, and ``coeffs`` maps the column bitmask of each
+    minor (as in ``minor_states``) to its t^mu coefficient, for the nonzero
+    coefficients only.  The coefficients are integers: row r is scaled by
+    the lcm D_r of its coefficient denominators, so each is the exact
+    coefficient times prod(D_r), one positive factor common to all minors
+    that normalization divides out.
 
     Row r is read from t^(v_r), v_r its valuation, and truncated to p terms,
     so the expansion yields every minor divided by t^(sum v_r) modulo t^p.
@@ -791,10 +792,7 @@ def lowest_minor_coefficients(rows, ncols: int):
             lowest = min((v & -v).bit_length() - 1 for v in states.values()) // bits
             pos = lowest * bits
             term = _signed_low(bits)
-            coeffs = [
-                term(states[m] >> pos) if m in states else 0
-                for m in lex_masks(ncols, len(rows))
-            ]
+            coeffs = {m: c for m, v in states.items() if (c := term(v >> pos))}
             return valuation_sum + lowest, coeffs
         if p > width:
             raise ValueError("all maximal minors vanish")

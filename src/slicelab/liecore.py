@@ -116,27 +116,19 @@ class LieAlgebra:
         return Mat.from_core(m, 1)
 
     def coords_from_matrix(self, m: Mat):
-        """Coordinates of a trace-zero matrix in the basis; exact and closed-form.
-
-        A rational matrix is read through ``element_from_matrix``; other
-        entries (Laurent curves) are read as they are.
-        """
-        if m.core() is None:
-            return self._coords_from_entries(m.rows)
+        """Coordinates of a rational trace-zero matrix in the basis; exact
+        and closed-form, read through ``element_from_matrix``."""
         return self.element_from_matrix(m).coords
 
-    def _coords_from_entries(self, rows):
-        n = self.n
-        if sum(rows[i][i] for i in range(n)) != 0:
+    def coords_from_entries(self, rows):
+        """Coordinates of a trace-zero matrix given as rows of entries of any
+        exact commutative ring (Laurent polynomials, say), laid out as in
+        ``element_from_matrix``: E_ij coordinates in place and H_i
+        coordinates the partial diagonal sums."""
+        diagonal = list(accumulate(rows[k][k] for k in range(self.n)))
+        if diagonal[-1]:
             raise LieAlgebraError("matrix has nonzero trace")
-        coords = []
-        for kind, data in self._layout:
-            if kind == "E":
-                i, j = data
-                coords.append(rows[i][j])
-            else:
-                coords.append(sum((rows[k][k] for k in range(data + 1)), Fraction(0)))
-        return tuple(coords)
+        return tuple(rows[i][j] if i >= 0 else diagonal[j] for i, j in self._sources)
 
     def matrix_from_core(self, ints, d: int) -> Mat:
         """The trace-zero matrix of the coordinates ints / d, as a matrix

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
 from operator import mul
 
 from .exactnum import (
@@ -24,7 +23,6 @@ from .exactnum import (
     Mat,
     RowSpan,
     integer_coords,
-    lex_masks,
     lowest_minor_coefficients,
     maximal_minors,
     minor_states,
@@ -184,22 +182,35 @@ class CurveSubspace:
 
     @staticmethod
     def from_group_curve(algebra: LieAlgebra, gmat: Mat) -> "CurveSubspace":
-        """Graph curve of a matrix family g(t); rows are scaled by det g(t)
-        so that the adjugate keeps all entries Laurent-polynomial."""
+        """Graph curve of a matrix family g(t), read as rows of Laurent
+        polynomials; rows are scaled by det g(t) so that the adjugate keeps
+        all entries Laurent-polynomial.
+
+        g E_ij adj is the outer product of column i of g and row j of adj,
+        so the n^2 outer products are built once and each basis matrix maps
+        to a signed sum of one or two of them.  The basis coordinates of the
+        k-th basis matrix are the k-th unit vector, so the second half of
+        row k is det at position k.
+        """
         n = algebra.n
         if gmat.nrows != n or gmat.ncols != n:
             raise DegenerateCurveError("curve matrix has the wrong shape")
-        g = gmat.map(LaurentPoly.lift)
-        det = _laurent_det(g)
+        g = [[LaurentPoly.lift(e) for e in r] for r in gmat.rows]
+        adj = _laurent_adjugate(g)
+        zero = LaurentPoly.zero()
+        det = sum((a * r[0] for a, r in zip(g[0], adj)), zero)
         if det.is_zero():
             raise DegenerateCurveError("curve matrix is singular over the function field")
-        adj = _laurent_adjugate(g)
+        outer = [[[[a * b for b in adj_row] for a in column] for adj_row in adj]
+                 for column in zip(*g)]
         rows = []
-        for b in algebra.basis:
-            bl = b.map(LaurentPoly.lift)
-            first = algebra.coords_from_matrix(g @ bl @ adj)
-            second = tuple(det * LaurentPoly.lift(c) for c in algebra.coords_from_matrix(bl))
-            rows.append(tuple(first) + second)
+        for k, b in enumerate(algebra.basis):
+            terms = [(c, outer[i][j]) for i, r in enumerate(b.core()[0])
+                     for j, c in enumerate(r) if c]
+            image = [[sum((c * m[a][e] for c, m in terms), zero) for e in range(n)]
+                     for a in range(n)]
+            second = tuple(det if i == k else zero for i in range(algebra.dim))
+            rows.append(algebra.coords_from_entries(image) + second)
         return CurveSubspace(algebra, rows)
 
     def substitute_power(self, k: int) -> "CurveSubspace":
@@ -220,40 +231,22 @@ class CurveSubspace:
         return CurveSubspace(self.algebra, rows)
 
 
-def _laurent_det(m: Mat) -> LaurentPoly:
-    n = m.nrows
+def _laurent_adjugate(g):
+    """Adjugate of a square matrix given as rows of Laurent polynomials, so
+    that g adj = adj g = det(g) I: entry (i, j) is (-1)^(i+j) times the
+    minor of g without row j and column i, read off ``minor_states`` of the
+    rows other than j."""
+    n = len(g)
     if n == 1:
-        return m.rows[0][0]
-    acc = LaurentPoly.zero()
+        return [[LaurentPoly.const(1)]]
+    full = (1 << n) - 1
+    zero = LaurentPoly.zero()
+    columns = []
     for j in range(n):
-        entry = m.rows[0][j]
-        if not entry:
-            continue
-        sub = Mat([r[:j] + r[j + 1 :] for r in m.rows[1:]])
-        term = entry * _laurent_det(sub)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
-
-
-def _laurent_adjugate(m: Mat) -> Mat:
-    n = m.nrows
-    if n == 1:
-        return Mat([[LaurentPoly.const(1)]])
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            sub = Mat(
-                [
-                    [m.rows[a][b] for b in range(n) if b != i]
-                    for a in range(n)
-                    if a != j
-                ]
-            )
-            cof = _laurent_det(sub)
-            row.append(cof if (i + j) % 2 == 0 else -cof)
-        rows.append(row)
-    return Mat(rows)
+        minors = minor_states(g[:j] + g[j + 1:])
+        column = [minors.get(full ^ (1 << i), zero) for i in range(n)]
+        columns.append([-m if (i + j) % 2 else m for i, m in enumerate(column)])
+    return [list(r) for r in zip(*columns)]
 
 
 def limit(curve: CurveSubspace) -> Subspace:
@@ -271,12 +264,11 @@ def limit(curve: CurveSubspace) -> Subspace:
     # Plucker-evaluation method, on the untouched basis.  Every maximal minor
     # vanishes exactly when the generic rank is below n.
     try:
-        mu, coeffs = lowest_minor_coefficients(curve.rows, 2 * n)
+        mu, leading = lowest_minor_coefficients(curve.rows)
     except ValueError:
         raise DegenerateCurveError(
             "curve has generic rank below the ambient requirement"
         ) from None
-    leading = dict(compress(zip(lex_masks(2 * n, n), coeffs), coeffs))
 
     # Row-reduction method over the local ring at t = 0.
     work = [list(r) for r in curve.rows]

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import slicelab.wonderful as wonderful
 from slicelab.cli import (
     CliError,
     main,
@@ -174,6 +175,21 @@ class TestLimitCommand:
         lines = [ln for ln in res.stdout.splitlines() if "plucker" in ln]
         assert lines == [f"  plucker ({len(nonzero)} nonzero of 12870): " + " ".join(nonzero)]
 
+    def test_internal_check_failure_is_one_line_with_status_3(self, monkeypatch, capsys):
+        real = wonderful.lowest_minor_coefficients
+
+        def planted(rows):
+            mu, coeffs = real(rows)
+            coeffs[max(coeffs)] += 1
+            return mu, coeffs
+
+        monkeypatch.setattr(wonderful, "lowest_minor_coefficients", planted)
+        code = main(["limit", "--algebra", "a2", "--curve", "[[t,1,2],[0,t^2,t^-1],[1,0,1]]"])
+        out, err = capsys.readouterr()
+        assert code == 3
+        assert not out
+        assert err.splitlines() == ["error: internal check failed: limit algorithms disagree"]
+
 
 class TestClosedPipe:
     """A reader that closes the pipe early (``slicelab ... | head``) is not a user error."""
@@ -304,3 +320,4 @@ class TestSliceProjectCommand:
         payload = json.loads(capsys.readouterr().out)
         assert payload["s"] == ["1", "0", "7"]
         assert payload["u"] == [["1", "0"], ["-2", "1"]]
+

@@ -6,6 +6,7 @@ import slicelab.wonderful as wonderful
 from slicelab.exactnum import (
     LaurentPoly,
     Mat,
+    lex_masks,
     lowest_minor_coefficients,
     maximal_minors,
     sample_rational,
@@ -196,15 +197,20 @@ class TestLeadingMinorRoute:
         )
         for k in (1, 2, 3):
             curve = base.substitute_power(k)
-            mu, coeffs = lowest_minor_coefficients(curve.rows, 16)
+            mu, coeffs = lowest_minor_coefficients(curve.rows)
             minors = maximal_minors(curve.rows, 16, LaurentPoly.zero())
             assert mu == min(m.valuation() for m in minors if m)
             assert mu - sum(min(e.valuation() for e in r if e) for r in curve.rows) == 3 * k
             ref = [m.coeff(mu) for m in minors]
             ref_lead = next(c for c in ref if c)
             expected = tuple(c / ref_lead for c in ref)
-            lead = next(c for c in coeffs if c)
-            assert tuple(Fraction(c, lead) for c in coeffs) == expected
+            nonzero = {m: c for m, c in zip(lex_masks(16, 8), ref) if c}
+            assert coeffs.keys() == nonzero.keys()
+            lead_mask = next(iter(nonzero))
+            assert all(
+                Fraction(c, coeffs[lead_mask]) == nonzero[m] / ref_lead
+                for m, c in coeffs.items()
+            )
             assert limit(curve).plucker == expected
 
     @pytest.mark.parametrize(
@@ -218,10 +224,9 @@ class TestLeadingMinorRoute:
         curve = CurveSubspace.from_group_curve(lie_algebra(algebra_n), t_mat(gmat))
         real = wonderful.lowest_minor_coefficients
 
-        def one_wrong_coefficient(rows, ncols):
-            mu, coeffs = real(rows, ncols)
-            last = max(i for i, c in enumerate(coeffs) if c)
-            coeffs[last] += 1
+        def one_wrong_coefficient(rows):
+            mu, coeffs = real(rows)
+            coeffs[max(coeffs)] += 1
             return mu, coeffs
 
         monkeypatch.setattr(wonderful, "lowest_minor_coefficients", one_wrong_coefficient)
@@ -236,23 +241,35 @@ class TestSparseCrossCheck:
     DENSE = [[(1, 1), 1, 2], [0, (1, 2), (1, -1)], [1, 0, 1]]
 
     @staticmethod
-    def nonzero_where_minor_vanishes(coeffs):
-        coeffs[coeffs.index(0)] = 1
+    def last_nonzero_mask(coeffs):
+        """The last column set with a nonzero coefficient, in lexicographic
+        order: never the leading one when there are several."""
+        present = [m for m in lex_masks(16, 8) if m in coeffs]
+        assert len(present) > 1
+        return present[-1]
 
     @staticmethod
-    def non_leading_minor_zeroed(coeffs):
-        nonzero = [i for i, c in enumerate(coeffs) if c]
-        assert len(nonzero) > 1
-        coeffs[nonzero[-1]] = 0
+    def nonzero_where_minor_vanishes(coeffs):
+        coeffs[next(m for m in lex_masks(16, 8) if m not in coeffs)] = 1
+
+    @classmethod
+    def non_leading_minor_removed(cls, coeffs):
+        del coeffs[cls.last_nonzero_mask(coeffs)]
+
+    @classmethod
+    def non_leading_minor_zeroed(cls, coeffs):
+        coeffs[cls.last_nonzero_mask(coeffs)] = 0
 
     @staticmethod
     def scaled_by_minus_three(coeffs):
-        coeffs[:] = [-3 * c for c in coeffs]
+        for m in coeffs:
+            coeffs[m] *= -3
 
     @pytest.mark.parametrize(
         "fault, detected",
         [
             ("nonzero_where_minor_vanishes", True),
+            ("non_leading_minor_removed", True),
             ("non_leading_minor_zeroed", True),
             ("scaled_by_minus_three", False),
         ],
@@ -262,8 +279,8 @@ class TestSparseCrossCheck:
         expected = limit(curve)
         real = wonderful.lowest_minor_coefficients
 
-        def planted(rows, ncols):
-            mu, coeffs = real(rows, ncols)
+        def planted(rows):
+            mu, coeffs = real(rows)
             getattr(self, fault)(coeffs)
             return mu, coeffs
 
@@ -273,6 +290,176 @@ class TestSparseCrossCheck:
                 limit(curve)
         else:
             assert limit(curve) == expected
+
+
+def laplace_det(rows):
+    """Determinant of square Laurent rows by Laplace expansion along row 0."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = LaurentPoly.zero()
+    for j, entry in enumerate(rows[0]):
+        term = entry * laplace_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc
+
+
+def cofactor_adjugate(rows):
+    """adj[i][j] = (-1)^(i+j) det(rows without row j and column i)."""
+    n = len(rows)
+    if n == 1:
+        return [[LaurentPoly.const(1)]]
+    return [
+        [
+            (-1) ** (i + j)
+            * laplace_det([r[:i] + r[i + 1:] for k, r in enumerate(rows) if k != j])
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def laurent_coords(alg, m):
+    """Basis coordinates of a trace-zero Laurent matrix, read off the basis
+    names: E_ij is the (i, j) entry, H_i the sum of the first i diagonal
+    entries."""
+    out = []
+    for name in alg.basis_names:
+        if name[0] == "E":
+            out.append(m[int(name[1]) - 1, int(name[2]) - 1])
+        else:
+            out.append(sum((m[k, k] for k in range(int(name[1:]))), LaurentPoly.zero()))
+    return tuple(out)
+
+
+def old_route_rows(alg, gmat):
+    """The graph curve's rows by the generic route: g @ b @ adj as Laurent
+    matrix products, scaled against det(g) times the coordinates of b."""
+    g = gmat.map(LaurentPoly.lift)
+    rows = [list(r) for r in g.rows]
+    det = laplace_det(rows)
+    adj = Mat(cofactor_adjugate(rows))
+    out = []
+    for b in alg.basis:
+        bl = b.map(LaurentPoly.lift)
+        first = laurent_coords(alg, g @ bl @ adj)
+        second = tuple(det * c for c in laurent_coords(alg, bl))
+        out.append(first + second)
+    return tuple(out)
+
+
+def seeded_laurent(seed, n, low, high):
+    """Seeded n x n matrix of Laurent polynomials with exponents in
+    [low, high] and small rational coefficients, about a quarter of its
+    entries zero."""
+    index = 0
+    rows = []
+    for _ in range(n):
+        row = []
+        for _ in range(n):
+            entry = LaurentPoly.zero()
+            for k in range(low, high + 1):
+                entry = entry + LaurentPoly.t_power(k, sample_rational(seed, index))
+                index += 1
+            if sample_rational(seed, index) < -2:
+                entry = LaurentPoly.zero()
+            index += 1
+            row.append(entry)
+        rows.append(row)
+    return rows
+
+
+def translated_torus(seed, exps, sides):
+    """L diag(t^a) U for seeded unit lower L and unit upper U; a side not
+    named in ``sides`` is the identity."""
+    n = len(exps)
+
+    def unipotent(lower, offset):
+        return Mat(
+            [
+                [
+                    LaurentPoly.const(
+                        int(i == j) if (i <= j if lower else i >= j)
+                        else sample_rational(seed, offset + n * i + j)
+                    )
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+        )
+
+    torus = Mat(
+        [[LaurentPoly.t_power(exps[i]) if i == j else LaurentPoly.zero() for j in range(n)]
+         for i in range(n)]
+    )
+    g = torus
+    if "L" in sides:
+        g = unipotent(True, 0) @ g
+    if "U" in sides:
+        g = g @ unipotent(False, n * n)
+    return g
+
+
+class TestFromGroupCurve:
+    """The outer-product route of ``from_group_curve`` against the generic
+    route of Laurent matrix products."""
+
+    CASES = [
+        (2, (1, 0), ""),
+        (2, (-1, 1), "L"),
+        (2, (2, 0), "U"),
+        (2, (1, -1), "LU"),
+        (3, (2, 1, 0), ""),
+        (3, (1, -1, 0), ""),
+        (3, (1, -1, 0), "L"),
+        (3, (2, 1, 0), "U"),
+        (3, (1, 0, 0), "LU"),
+        (3, (0, -1, 2), "LU"),
+    ]
+
+    @pytest.mark.parametrize("n, exps, sides", CASES)
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_translated_torus_matches_old_route(self, n, exps, sides, seed):
+        alg = lie_algebra(n)
+        gmat = translated_torus(seed, exps, sides)
+        assert CurveSubspace.from_group_curve(alg, gmat).rows == old_route_rows(alg, gmat)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("seed", [40, 42, 43, 46])
+    def test_dense_laurent_entries_match_old_route(self, n, seed):
+        alg = lie_algebra(n)
+        gmat = Mat(seeded_laurent(seed, n, -1, 1))
+        assert CurveSubspace.from_group_curve(alg, gmat).rows == old_route_rows(alg, gmat)
+
+    def test_pinned_curve_with_inverse_power_matches_old_route(self):
+        alg = lie_algebra(3)
+        gmat = t_mat([[(1, 1), 1, 2], [0, (1, 2), (1, -1)], [1, 0, 1]])
+        assert CurveSubspace.from_group_curve(alg, gmat).rows == old_route_rows(alg, gmat)
+
+    @pytest.mark.parametrize(
+        "n, gmat",
+        [
+            (2, [[(1, 1), (1, 2)], [1, (1, 1)]]),
+            (3, [[(1, 1), 1, 0], [(2, 1), 2, 0], [0, (1, -1), 1]]),
+            (3, [[(1, 1), 0, 0], [0, 0, 0], [1, 2, (1, -1)]]),
+        ],
+    )
+    def test_singular_curve_rejected(self, n, gmat):
+        with pytest.raises(DegenerateCurveError, match="singular"):
+            CurveSubspace.from_group_curve(lie_algebra(n), t_mat(gmat))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("seed", [70, 72, 73])
+    def test_adjugate_times_matrix_is_det(self, n, seed):
+        rows = seeded_laurent(seed, n, -1, 2)
+        adj = wonderful._laurent_adjugate(rows)
+        assert adj == cofactor_adjugate(rows)
+        det = laplace_det(rows)
+        assert det
+        scalar = Mat(
+            [[det if i == j else LaurentPoly.zero() for j in range(n)] for i in range(n)]
+        )
+        assert Mat(rows) @ Mat(adj) == scalar
+        assert Mat(adj) @ Mat(rows) == scalar
 
 
 class TestContains:
